@@ -20,13 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .conditions import (
-    check_a_prime,
-    check_b,
-    check_c,
-    check_theorem15,
-    make_params,
-)
+from .conditions import EnclosureParams, check_regime, make_params, pick_regime
 from .decomp import Decomposition, Enclosing, is_admissible, verify_enclosing
 from .detach import build_amalgamated_triad, fair_detach, verify_detachment
 from .errors import (
@@ -73,10 +67,14 @@ def load_instance(path: str | Path) -> tuple[int, int, int, Decomposition]:
         raise InstanceFormatError(f"instance {path} missing or malformed field: {exc}")
     if n < 1 or lam < 1 or k < 1:
         raise InstanceFormatError("n, lambda, k must be positive")
-    if not isinstance(raw_classes, list) or len(raw_classes) != k:
+    if not isinstance(raw_classes, list):
+        raise InstanceFormatError(f"instance {path} field classes is not a list")
+    if len(raw_classes) != k:
         raise InstanceFormatError(f"expected {k} classes, found {len(raw_classes)}")
     classes = []
     for idx, raw in enumerate(raw_classes):
+        if not isinstance(raw, list):
+            raise InstanceFormatError(f"class {idx} is not a list of pairs")
         cls = Multigraph(n)
         for pair in raw:
             if (
@@ -125,28 +123,17 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _regime(n: int, m: int) -> str | None:
-    if m >= 2 * n - 1:
-        return "B"
-    if m == 2 * n - 2:
-        return "C"
-    if m > n:
-        return "T15"
-    return None
-
-
-def _battery(regime: str, g, params):
-    if regime == "B":
-        return check_b(g, params)
-    if regime == "C":
-        return check_c(g, params)
-    return check_theorem15(g, params)
+def _params(n: int, m: int, lam: int, mu: int, r: int, k: int) -> EnclosureParams:
+    """make_params, with rejected parameters reported as an input error."""
+    try:
+        return make_params(n=n, m=m, lam=lam, mu=mu, r=r, k=k)
+    except PreconditionError as exc:
+        raise InstanceFormatError(str(exc)) from exc
 
 
 def cmd_check(args) -> int:
     n, lam, k, g = load_instance(args.instance)
-    params = make_params(n=n, m=args.m, lam=lam, mu=args.mu, r=args.r, k=k)
-    regime = _regime(n, args.m)
+    params = _params(n, args.m, lam, args.mu, args.r, k)
     report = {
         "params": {"n": n, "m": args.m, "lambda": lam, "mu": args.mu,
                    "r": args.r, "k": k, "p": str(params.p)},
@@ -154,17 +141,14 @@ def cmd_check(args) -> int:
     }
     if args.r >= 3:
         report["admissible_r_minus_1"] = is_admissible(g, args.r - 1)
-    if regime is None:
+    try:
+        regime = pick_regime(n, args.m, args.r)
+    except PreconditionError as exc:
         report["regime"] = None
-        report["error"] = "no applicable theorem regime (m must exceed n)"
+        report["error"] = str(exc)
         _emit(report)
         return EXIT_REGIME
-    if regime == "T15" and args.r < 3:
-        report["regime"] = None
-        report["error"] = "m < 2n-2 requires r >= 3"
-        _emit(report)
-        return EXIT_REGIME
-    battery = _battery(regime, g, params)
+    battery = check_regime(regime, g, params)
     report["regime"] = regime
     report["battery"] = battery.as_dict()
     _emit(report)
@@ -173,12 +157,13 @@ def cmd_check(args) -> int:
 
 def cmd_enclose(args) -> int:
     n, lam, k, g = load_instance(args.instance)
-    params = make_params(n=n, m=args.m, lam=lam, mu=args.mu, r=args.r, k=k)
-    regime = _regime(n, args.m)
-    if regime is None or (regime == "T15" and args.r < 3):
+    params = _params(n, args.m, lam, args.mu, args.r, k)
+    try:
+        regime = pick_regime(n, args.m, args.r)
+    except PreconditionError:
         _emit({"error": "no applicable theorem regime for these parameters"})
         return EXIT_REGIME
-    battery = _battery(regime, g, params)
+    battery = check_regime(regime, g, params)
     if not battery.ok:
         _emit({
             "status": "conditions-failed",
@@ -227,7 +212,7 @@ def cmd_verify(args) -> int:
     if outer_k != k:
         _emit({"error": f"class counts differ: inner {k}, enclosing {outer_k}"})
         return EXIT_INPUT
-    params = make_params(n=n, m=m, lam=lam, mu=mu, r=args.r, k=k)
+    params = _params(n, m, lam, mu, args.r, k)
     ok, problems = verify_enclosing(inner, Enclosing(outer, n), params)
     _emit({"valid": ok, "problems": problems})
     return EXIT_OK if ok else EXIT_FAIL
@@ -235,7 +220,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     n, lam, k, g = load_instance(args.instance)
-    params = make_params(n=n, m=args.m, lam=lam, mu=args.mu, r=args.r, k=k)
+    params = _params(n, args.m, lam, args.mu, args.r, k)
     budget = args.budget if args.budget is not None else default_budget()
     result = brute_force_enclose(g, params, budget=budget)
     report = {

@@ -9,6 +9,10 @@ Batteries:
   T15 (r >= 3, m >= (2-C)n+1): the sufficient hypothesis set built around
     the constant C(mu, lambda, r).
 
+`pick_regime` decides by target size which of B, C and T15 applies, and
+`check_regime` runs that regime's battery; both the CLI and the stage-1
+driver dispatch through them.
+
 The deficiency parameter p = r(2n-m)/2 is kept as an exact Fraction; it is
 an integer exactly when r*m is even.
 """
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomp import AnyDecomposition, is_admissible, s_count, s_uv_count
+from .decomp import Decomposition, is_admissible, s_count, s_uv_count
 from .errors import InternalInconsistencyError, PreconditionError
 from .mgraph import complete_multigraph
 
@@ -37,9 +41,6 @@ class EnclosureParams:
     @property
     def p_is_integer(self) -> bool:
         return self.p.denominator == 1
-
-    def p_floor(self) -> int:
-        return math.floor(self.p)
 
 
 def make_params(n: int, m: int, lam: int, mu: int, r: int, k: int) -> EnclosureParams:
@@ -100,19 +101,35 @@ def _divisibility_entry(params: EnclosureParams, name: str) -> tuple[str, bool, 
     return (name, ok, reason)
 
 
-def _require_classes(d: AnyDecomposition, params: EnclosureParams) -> None:
+def _require_shape(
+    d: Decomposition, params: EnclosureParams, mult: int, name: str
+) -> None:
+    """d has params.k classes on the base mult*K_n, printed as `name`."""
     if d.k != params.k:
         raise PreconditionError(
             f"decomposition has {d.k} classes but params.k = {params.k}"
         )
+    if d.base != complete_multigraph(params.n, mult):
+        raise PreconditionError(f"base is not the complete multigraph {name}")
 
 
-def check_a_prime(a: AnyDecomposition, params: EnclosureParams) -> ConditionReport:
+def _deficiency_entry(
+    g: Decomposition, params: EnclosureParams, name: str
+) -> tuple[str, bool, str]:
+    """sum_{i=0}^{p} (p - i) * |S_i(g)|  <=  (mu - lambda) * n(n-1)/2,
+    vacuous when p <= 0."""
+    p = params.p
+    if p <= 0:
+        return (name, True, f"p = {p} <= 0, deficiency bound vacuous")
+    lhs = sum((p - i) * s_count(g, i) for i in range(math.floor(p) + 1))
+    rhs = Fraction((params.mu - params.lam) * params.n * (params.n - 1), 2)
+    return (name, lhs <= rhs, f"deficiency sum {lhs} vs bound {rhs}")
+
+
+def check_a_prime(a: Decomposition, params: EnclosureParams) -> ConditionReport:
     """Battery A on a decomposition of mu*K_n: divisibility (A1),
     r-admissibility (A2), minimum class size p (A3)."""
-    _require_classes(a, params)
-    if a.base != complete_multigraph(params.n, params.mu):
-        raise PreconditionError("base is not the complete multigraph mu*K_n")
+    _require_shape(a, params, params.mu, "mu*K_n")
     entries = [_divisibility_entry(params, "A1")]
     adm = is_admissible(a, params.r)
     entries.append(("A2", adm, f"{params.r}-admissible: {adm}"))
@@ -125,50 +142,36 @@ def check_a_prime(a: AnyDecomposition, params: EnclosureParams) -> ConditionRepo
     return ConditionReport("A", tuple(entries))
 
 
-def check_b(g: AnyDecomposition, params: EnclosureParams) -> ConditionReport:
+def check_b(g: Decomposition, params: EnclosureParams) -> ConditionReport:
     """Battery B for m >= 2n-1: divisibility (B1), r-admissibility (B2),
     and the deficiency bound (B3):
         sum_{i=0}^{p} (p - i) * |S_i(g)|  <=  (mu - lambda) * n(n-1)/2.
     """
-    _require_classes(g, params)
-    if g.base != complete_multigraph(params.n, params.lam):
-        raise PreconditionError("base is not the complete multigraph lambda*K_n")
+    _require_shape(g, params, params.lam, "lambda*K_n")
     if params.m < 2 * params.n - 1:
         raise PreconditionError(f"battery B needs m >= 2n-1, got m={params.m}, n={params.n}")
     entries = [_divisibility_entry(params, "B1")]
     adm = is_admissible(g, params.r)
     entries.append(("B2", adm, f"{params.r}-admissible: {adm}"))
-    p = params.p
-    if p <= 0:
-        entries.append(("B3", True, f"p = {p} <= 0, deficiency bound vacuous"))
-    else:
-        lhs = sum(
-            (p - i) * s_count(g, i) for i in range(math.floor(p) + 1)
-        )
-        rhs = Fraction((params.mu - params.lam) * params.n * (params.n - 1), 2)
-        entries.append(("B3", lhs <= rhs, f"deficiency sum {lhs} vs bound {rhs}"))
+    entries.append(_deficiency_entry(g, params, "B3"))
     return ConditionReport("B", tuple(entries))
 
 
-def check_c(g: AnyDecomposition, params: EnclosureParams) -> ConditionReport:
+def check_c(g: Decomposition, params: EnclosureParams) -> ConditionReport:
     """Battery C for m = 2n-2 (where p = r): divisibility (C1),
     r-admissibility (C2), the deficiency bound (C3) as in B with p = r, and
     the per-pair bound (C4):
         |S_0| + sum_{i=1}^{r-1} |S_i(u,v)|  <=  (mu - lambda) * (n(n-1)/2 - 1)
     for every pair u, v.
     """
-    _require_classes(g, params)
-    if g.base != complete_multigraph(params.n, params.lam):
-        raise PreconditionError("base is not the complete multigraph lambda*K_n")
+    _require_shape(g, params, params.lam, "lambda*K_n")
     if params.m != 2 * params.n - 2:
         raise PreconditionError(f"battery C needs m = 2n-2, got m={params.m}, n={params.n}")
     n, r = params.n, params.r
     entries = [_divisibility_entry(params, "C1")]
     adm = is_admissible(g, r)
     entries.append(("C2", adm, f"{r}-admissible: {adm}"))
-    lhs = sum((r - i) * s_count(g, i) for i in range(r + 1))
-    rhs = Fraction((params.mu - params.lam) * n * (n - 1), 2)
-    entries.append(("C3", lhs <= rhs, f"deficiency sum {lhs} vs bound {rhs}"))
+    entries.append(_deficiency_entry(g, params, "C3"))
     s0 = s_count(g, 0)
     pair_rhs = (params.mu - params.lam) * (Fraction(n * (n - 1), 2) - 1)
     worst_pair, worst = None, -1
@@ -195,15 +198,13 @@ def theorem15_constant(mu: int, lam: int, r: int) -> Fraction:
     return min(Fraction(mu - lam, 2 * mu), 2 - Fraction(r * (mu - lam), mu))
 
 
-def check_theorem15(g: AnyDecomposition, params: EnclosureParams) -> ConditionReport:
+def check_theorem15(g: Decomposition, params: EnclosureParams) -> ConditionReport:
     """Battery T15: divisibility (T1), margin 2mu > r(mu-lambda) (T2),
     (r-1)-admissibility (T3), target size m >= (2-C)n+1 (T4), and the class
     count bound k >= (mu-lambda)n that the construction consumes (T5)."""
-    _require_classes(g, params)
+    _require_shape(g, params, params.lam, "lambda*K_n")
     if params.r < 3:
         raise PreconditionError(f"battery T15 needs r >= 3, got r={params.r}")
-    if g.base != complete_multigraph(params.n, params.lam):
-        raise PreconditionError("base is not the complete multigraph lambda*K_n")
     mu, lam, r, n, m, k = params.mu, params.lam, params.r, params.n, params.m, params.k
     entries = [_divisibility_entry(params, "T1")]
     margin_ok = 2 * mu > r * (mu - lam)
@@ -222,3 +223,28 @@ def check_theorem15(g: AnyDecomposition, params: EnclosureParams) -> ConditionRe
         ("T5", k >= (mu - lam) * n, f"k = {k} vs (mu-lambda)*n = {(mu - lam) * n}")
     )
     return ConditionReport("T15", tuple(entries))
+
+
+_BATTERIES = {"B": check_b, "C": check_c, "T15": check_theorem15}
+
+
+def pick_regime(n: int, m: int, r: int) -> str:
+    """The regime whose battery decides enclosing lambda*K_n in mu*K_m:
+    "B" for m >= 2n-1, "C" for m = 2n-2, "T15" for n < m < 2n-2 with
+    r >= 3.  Raises PreconditionError naming the reason when none applies."""
+    if m >= 2 * n - 1:
+        return "B"
+    if m == 2 * n - 2:
+        return "C"
+    if m <= n:
+        raise PreconditionError("no applicable theorem regime (m must exceed n)")
+    if r < 3:
+        raise PreconditionError("m < 2n-2 requires r >= 3")
+    return "T15"
+
+
+def check_regime(regime: str, g: Decomposition, params: EnclosureParams) -> ConditionReport:
+    """Run the battery of `regime` ("B", "C" or "T15") on g."""
+    if regime not in _BATTERIES:
+        raise ValueError(f"unknown regime {regime!r}; expected B, C, or T15")
+    return _BATTERIES[regime](g, params)

@@ -3,80 +3,54 @@ enclosing verifier.
 
 A decomposition splits the edges of a base multigraph into k ordered color
 classes, each a spanning subgraph (isolated vertices implicit through the
-shared vertex count).  A partial decomposition additionally carries the
-multigraph of still-uncolored edges.
+shared vertex count).  While a decomposition is being built, the base edges
+not yet in any class are kept as the multigraph of uncolored edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 from .mgraph import Multigraph, complete_multigraph
 
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Classes partition the base edges, except those held in `uncolored`
+    (none unless given)."""
+
     base: Multigraph
     classes: tuple[Multigraph, ...]
+    uncolored: Multigraph | None = None
 
     def __post_init__(self):
         for i, cls in enumerate(self.classes):
             if cls.vertex_count != self.base.vertex_count:
                 raise ValueError(f"class {i} vertex count differs from base")
+        if self.uncolored is None:
+            object.__setattr__(self, "uncolored", Multigraph(self.base.vertex_count))
+        elif self.uncolored.vertex_count != self.base.vertex_count:
+            raise ValueError("uncolored vertex count differs from base")
 
     @property
     def k(self) -> int:
         return len(self.classes)
 
     def validate_partition(self) -> None:
-        """Check the classes' per-pair multiplicities sum to the base."""
-        total: dict[tuple[int, int], int] = {}
+        """Check the classes' and the uncolored edges' per-pair
+        multiplicities sum to the base."""
+        total = dict(self.uncolored.edges)
         for cls in self.classes:
             for pair, mult in cls.edges.items():
                 total[pair] = total.get(pair, 0) + mult
         if total != self.base.edges:
             raise ValueError("classes do not partition the base edges")
 
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(cls.edge_count() for cls in self.classes)
-
-
-@dataclass(frozen=True)
-class PartialDecomposition:
-    """Classes partition a subgraph of base; `uncolored` holds the rest."""
-
-    base: Multigraph
-    classes: tuple[Multigraph, ...]
-    uncolored: Multigraph
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-    def validate_partition(self) -> None:
-        total: dict[tuple[int, int], int] = {}
-        for cls in self.classes:
-            for pair, mult in cls.edges.items():
-                total[pair] = total.get(pair, 0) + mult
-        for pair, mult in self.uncolored.edges.items():
-            total[pair] = total.get(pair, 0) + mult
-        if total != self.base.edges:
-            raise ValueError("colored plus uncolored edges do not equal the base")
-
     def is_complete(self) -> bool:
-        return self.uncolored.edge_count() == 0
-
-    def to_decomposition(self) -> Decomposition:
-        if not self.is_complete():
-            raise ValueError("decomposition is still strict: uncolored edges remain")
-        return Decomposition(self.base, self.classes)
+        return not self.uncolored.edges
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(cls.edge_count() for cls in self.classes)
-
-
-AnyDecomposition = Union[Decomposition, PartialDecomposition]
 
 
 @dataclass(frozen=True)
@@ -88,12 +62,12 @@ class Enclosing:
     inner_vertex_count: int
 
 
-def s_count(d: AnyDecomposition, i: int) -> int:
+def s_count(d: Decomposition, i: int) -> int:
     """Number of classes with exactly i edges."""
     return sum(1 for cls in d.classes if cls.edge_count() == i)
 
 
-def s_uv_count(d: AnyDecomposition, i: int, u: int, v: int) -> int:
+def s_uv_count(d: Decomposition, i: int, u: int, v: int) -> int:
     """Number of classes with exactly i edges, all of them between u and v."""
     if u == v:
         raise ValueError("u and v must be distinct")
@@ -169,7 +143,7 @@ def class_admissibility_violation(
 
 
 def admissibility_violation(
-    d: AnyDecomposition, r: int
+    d: Decomposition, r: int
 ) -> AdmissibilityViolation | None:
     for i, cls in enumerate(d.classes):
         violation = class_admissibility_violation(cls, r, i)
@@ -178,7 +152,7 @@ def admissibility_violation(
     return None
 
 
-def is_admissible(d: AnyDecomposition, r: int) -> bool:
+def is_admissible(d: Decomposition, r: int) -> bool:
     return admissibility_violation(d, r) is None
 
 
@@ -211,6 +185,10 @@ def verify_enclosing(inner: Decomposition, outer: Enclosing, params) -> tuple[bo
         outer.outer.validate_partition()
     except ValueError as exc:
         problems.append(str(exc))
+    if not outer.outer.is_complete():
+        problems.append(
+            f"outer leaves {outer.outer.uncolored.edge_count()} edges uncolored"
+        )
     for i, cls in enumerate(outer.outer.classes):
         degs = [cls.degree(v) for v in range(m)]
         if any(deg != r for deg in degs):

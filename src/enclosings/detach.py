@@ -33,26 +33,21 @@ from .mgraph import Multigraph, complete_multigraph
 
 @dataclass(frozen=True)
 class Triad:
-    """A loops-allowed multigraph, per-vertex amalgamation sizes, and a
-    decomposition of the graph."""
+    """Per-vertex amalgamation sizes and a decomposition of a loops-allowed
+    multigraph, the decomposition's base."""
 
-    graph: Multigraph
     g: tuple[int, ...]
     decomposition: Decomposition
 
     def __post_init__(self):
-        if len(self.g) != self.graph.vertex_count:
+        graph = self.decomposition.base
+        if len(self.g) != graph.vertex_count:
             raise ValueError("amalgamation sizes must cover every vertex")
         if any(value < 1 for value in self.g):
             raise ValueError("amalgamation sizes must be positive")
         for v, value in enumerate(self.g):
-            if value == 1 and self.graph.loop_count(v) > 0:
+            if value == 1 and graph.loop_count(v) > 0:
                 raise ValueError(f"vertex {v} has size 1 but carries a loop")
-
-    def g_pair(self, v: int, w: int) -> int:
-        if v != w:
-            return self.g[v] * self.g[w]
-        return self.g[v] * (self.g[v] - 1) // 2
 
 
 @dataclass
@@ -111,7 +106,6 @@ def build_amalgamated_triad(a: Decomposition, params: EnclosureParams) -> Triad:
         classes.append(tri_cls)
 
     triad = Triad(
-        graph=graph,
         g=tuple([1] * n + [m - n]),
         decomposition=Decomposition(graph, tuple(classes)),
     )
@@ -422,7 +416,7 @@ def verify_detachment(
     fibers: dict[int, int] = {}
     for image in phi:
         fibers[image] = fibers.get(image, 0) + 1
-    for v in range(t.graph.vertex_count):
+    for v in range(t.decomposition.base.vertex_count):
         if fibers.get(v, 0) != t.g[v]:
             problems.append(
                 f"fiber of triad vertex {v} has size {fibers.get(v, 0)}, "

@@ -2,15 +2,15 @@
 decomposition of mu*K_n whose classes are admissible and large enough to
 detach.
 
-Three routes, chosen by the target regime:
-  B-path  (m >= 2n-1): pad every small class up to p edges, then color the
+Three routes, one per regime of `conditions.pick_regime`:
+  B   (m >= 2n-1): pad every small class up to p edges, then color the
           remaining spare edges one at a time; a greedy color always exists.
-  C-path  (m = 2n-2, so p = r): top every class up to r edges through a
+  C   (m = 2n-2, so p = r): top every class up to r edges through a
           bipartite matching between class slots and spare edges (special
           slots keep a class from ending as r parallel edges), then color
           one edge at a time, occasionally recoloring a non-protected edge
           out of the way.
-  T15-path (r >= 3): decompose the whole spare pool into k near-equal
+  T15 (r >= 3): decompose the whole spare pool into k near-equal
           almost-regular classes; with k large enough the pool classes are
           matchings, and gluing a matching onto an (r-1)-admissible class
           keeps it r-admissible.
@@ -26,13 +26,15 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .conditions import EnclosureParams, check_b, check_c, check_theorem15
-from .decomp import (
-    Decomposition,
-    PartialDecomposition,
-    class_admissibility_violation,
-    is_admissible,
+from .conditions import (
+    EnclosureParams,
+    check_a_prime,
+    check_b,
+    check_c,
+    check_regime,
+    check_theorem15,
 )
+from .decomp import Decomposition, class_admissibility_violation
 from .errors import InternalInconsistencyError, PreconditionError
 from .mgraph import Multigraph, complete_multigraph
 
@@ -62,7 +64,7 @@ class ExtensionTrace:
         return [a.as_dict() for a in self.actions]
 
 
-def replay_trace(g: Decomposition, params: EnclosureParams, trace: ExtensionTrace) -> PartialDecomposition:
+def replay_trace(g: Decomposition, params: EnclosureParams, trace: ExtensionTrace) -> Decomposition:
     """Re-apply a trace to the input decomposition; the result must equal the
     pipeline output it was recorded from."""
     classes = [cls.copy() for cls in g.classes]
@@ -77,7 +79,7 @@ def replay_trace(g: Decomposition, params: EnclosureParams, trace: ExtensionTrac
             classes[action.cls].add_edge(u, v)
         else:
             raise ValueError(f"unknown trace action {action.kind}")
-    return PartialDecomposition(
+    return Decomposition(
         complete_multigraph(params.n, params.mu), tuple(classes), pool
     )
 
@@ -117,7 +119,7 @@ def _start_state(g: Decomposition, params: EnclosureParams) -> tuple[list[Multig
 
 def pad_to_p(
     g: Decomposition, params: EnclosureParams, seed: int = 0
-) -> tuple[PartialDecomposition, ExtensionTrace]:
+) -> tuple[Decomposition, ExtensionTrace]:
     """Add spare edges so that every class has at least p edges.
 
     Any choice of spare edges works here: a class that ends with at most
@@ -133,7 +135,7 @@ def pad_to_p(
     trace = ExtensionTrace()
     base = complete_multigraph(params.n, params.mu)
     if params.p <= 0:
-        return PartialDecomposition(base, tuple(classes), pool), trace
+        return Decomposition(base, tuple(classes), pool), trace
     threshold = math.ceil(params.p)
     order = _pair_order(params.n, seed)
     for i, cls in enumerate(classes):
@@ -143,7 +145,7 @@ def pad_to_p(
             cls.add_edge(*pair)
             trace.record("pad", pair, i)
             _assert_class_admissible(cls, params.r, i, f"pad of class {i}")
-    return PartialDecomposition(base, tuple(classes), pool), trace
+    return Decomposition(base, tuple(classes), pool), trace
 
 
 def _is_single_pair_class(cls: Multigraph) -> bool:
@@ -174,7 +176,7 @@ def _max_bipartite_matching(adj: list[list[int]], w_count: int) -> list[int | No
 
 def extend_to_r_via_matching(
     g: Decomposition, params: EnclosureParams, seed: int = 0
-) -> tuple[PartialDecomposition, ExtensionTrace]:
+) -> tuple[Decomposition, ExtensionTrace]:
     """Top every class up to r edges in the m = 2n-2 regime.
 
     Step 1 gives every empty class one spare edge.  Step 2 builds a bipartite
@@ -246,17 +248,17 @@ def extend_to_r_via_matching(
             raise InternalInconsistencyError(
                 f"class {i} ended as {r} parallel edges despite its special slot"
             )
-    return PartialDecomposition(base, tuple(classes), pool), trace
+    return Decomposition(base, tuple(classes), pool), trace
 
 
-def _pick_uncolored(gp: PartialDecomposition) -> tuple[int, int]:
-    if gp.uncolored.edge_count() == 0:
+def _pick_uncolored(gp: Decomposition) -> tuple[int, int]:
+    if gp.is_complete():
         raise PreconditionError("no uncolored edge left")
     return min(gp.uncolored.edges)
 
 
 def _try_direct_color(
-    gp: PartialDecomposition, edge: tuple[int, int], r: int
+    gp: Decomposition, edge: tuple[int, int], r: int
 ) -> int | None:
     for i, cls in enumerate(gp.classes):
         candidate = cls.copy()
@@ -267,20 +269,20 @@ def _try_direct_color(
 
 
 def _apply_color(
-    gp: PartialDecomposition, edge: tuple[int, int], cls_index: int
-) -> PartialDecomposition:
+    gp: Decomposition, edge: tuple[int, int], cls_index: int
+) -> Decomposition:
     classes = list(gp.classes)
     updated = classes[cls_index].copy()
     updated.add_edge(*edge)
     classes[cls_index] = updated
     uncolored = gp.uncolored.copy()
     uncolored.remove_edge(*edge)
-    return PartialDecomposition(gp.base, tuple(classes), uncolored)
+    return Decomposition(gp.base, tuple(classes), uncolored)
 
 
 def color_one_edge(
-    gp: PartialDecomposition, params: EnclosureParams
-) -> tuple[PartialDecomposition, tuple[tuple[int, int], int]]:
+    gp: Decomposition, params: EnclosureParams
+) -> tuple[Decomposition, tuple[tuple[int, int], int]]:
     """Color the smallest uncolored edge with the first color that keeps the
     decomposition admissible.  In the m >= 2n-1 regime some color always
     works: otherwise both endpoints would carry too much degree across the
@@ -300,10 +302,10 @@ def color_one_edge(
 
 
 def color_one_edge_with_recolor(
-    gp: PartialDecomposition,
+    gp: Decomposition,
     g_protected: Decomposition,
     params: EnclosureParams,
-) -> tuple[PartialDecomposition, list[TraceAction]]:
+) -> tuple[Decomposition, list[TraceAction]]:
     """Color one more edge in the m = 2n-2 regime.
 
     Direct coloring can block: then exactly one class j holds r-1 parallel
@@ -400,7 +402,7 @@ def color_one_edge_with_recolor(
     uncolored.remove_edge(*edge)
     actions.append(TraceAction("color", edge, c))
     _assert_class_admissible(final_c, r, c, f"coloring {edge} with freed class {c}")
-    return PartialDecomposition(gp.base, tuple(classes), uncolored), actions
+    return Decomposition(gp.base, tuple(classes), uncolored), actions
 
 
 def almost_regular_degree_bounds(size: int, n: int) -> tuple[int, int]:
@@ -585,38 +587,23 @@ def enclose_in_mu_kn(
 ) -> tuple[Decomposition, ExtensionTrace]:
     """Run the mode's full first stage: a decomposition of mu*K_n enclosing
     g in which every class is admissible and has at least p edges.  Mode is
-    "B", "C", or "T15" (a "-path" suffix is accepted)."""
-    from .conditions import check_a_prime
-
-    mode = mode.removesuffix("-path")
+    the regime, "B", "C", or "T15", whose battery g must pass."""
+    report = check_regime(mode, g, params)
+    if not report.ok:
+        raise PreconditionError(f"condition {report.first_failing()} fails")
     if mode == "B":
-        report = check_b(g, params)
-        if not report.ok:
-            raise PreconditionError(f"condition {report.first_failing()} fails")
-        gp, trace = pad_to_p(g, params, seed)
-        while not gp.is_complete():
-            gp, (edge, cls) = color_one_edge(gp, params)
+        result, trace = pad_to_p(g, params, seed)
+        while not result.is_complete():
+            result, (edge, cls) = color_one_edge(result, params)
             trace.record("color", edge, cls)
     elif mode == "C":
-        report = check_c(g, params)
-        if not report.ok:
-            raise PreconditionError(f"condition {report.first_failing()} fails")
-        gp, trace = extend_to_r_via_matching(g, params, seed)
-        while not gp.is_complete():
-            gp, actions = color_one_edge_with_recolor(gp, g, params)
+        result, trace = extend_to_r_via_matching(g, params, seed)
+        while not result.is_complete():
+            result, actions = color_one_edge_with_recolor(result, g, params)
             trace.actions.extend(actions)
-    elif mode == "T15":
-        result, trace = proper_padding(g, params, seed)
-        a_report = check_a_prime(result, params)
-        if not a_report.ok:
-            raise InternalInconsistencyError(
-                f"padding produced a decomposition failing {a_report.first_failing()}"
-            )
-        return result, trace
     else:
-        raise ValueError(f"unknown mode {mode!r}; expected B, C, or T15")
+        result, trace = proper_padding(g, params, seed)
 
-    result = gp.to_decomposition()
     result.validate_partition()
     a_report = check_a_prime(result, params)
     if not a_report.ok:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .conditions import EnclosureParams
-from .decomp import AnyDecomposition, Decomposition, Enclosing, admissibility_violation
+from .decomp import Decomposition, Enclosing, admissibility_violation
 from .errors import BudgetExhaustedError, CapExceededError
 from .mgraph import Multigraph, complete_multigraph
 
@@ -37,7 +37,7 @@ class EnclosureSearchResult:
     stats: SearchStats
 
 
-def brute_force_admissible(d: AnyDecomposition, r: int) -> bool:
+def brute_force_admissible(d: Decomposition, r: int) -> bool:
     """Admissibility checked straight from its definition, naively: re-derive
     components from scratch, and for the cutedge condition remove every
     single-multiplicity edge and recompute components."""

@@ -162,8 +162,8 @@ def test_criterion_4_theorem_21_round_trip():
                 assert cls.degree(j) == params.r
             assert cls.degree(x0) == params.r * (params.m - params.n)
         for j in range(3):
-            assert triad.graph.multiplicity(x0, j) == params.mu * (params.m - params.n)
-        assert triad.graph.loop_count(x0) == (
+            assert triad.decomposition.base.multiplicity(x0, j) == params.mu * (params.m - params.n)
+        assert triad.decomposition.base.loop_count(x0) == (
             params.mu * (params.m - params.n) * (params.m - params.n - 1) // 2
         )
         witness = fair_detach(triad, params)

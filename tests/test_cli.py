@@ -80,6 +80,37 @@ def test_check_rejects_loop_pair(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("classes", [5, [5, [], [], []]])
+def test_check_rejects_non_list_classes(tmp_path, capsys, classes):
+    payload = instance_payload()
+    payload["classes"] = classes
+    path = write_instance(tmp_path, payload)
+    code = cli.main(["check", str(path), "--m", "5", "--mu", "2", "--r", "2"])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m", "5", "--mu", "2", "--r", "1"], "r=1 must be >= 2"),
+        (["--m", "5", "--mu", "1", "--r", "2"], "mu=1 must be >= lambda=2"),
+        (["--m", "2", "--mu", "2", "--r", "2"], "m=2 must be >= n=3"),
+    ],
+)
+def test_check_rejected_parameters_are_input_errors(tmp_path, capsys, flags, message):
+    payload = {
+        "n": 3,
+        "lambda": 2,
+        "k": 2,
+        "classes": [[[0, 1], [0, 1], [0, 2]], [[0, 2], [1, 2], [1, 2]]],
+    }
+    path = write_instance(tmp_path, payload)
+    code = cli.main(["check", str(path), *flags])
+    assert code == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_check_out_of_regime(tmp_path, capsys):
     # m between n and 2n-2 needs r >= 3
     payload = {

@@ -8,8 +8,10 @@ from enclosings.conditions import (
     check_a_prime,
     check_b,
     check_c,
+    check_regime,
     check_theorem15,
     make_params,
+    pick_regime,
     theorem15_constant,
 )
 from enclosings.decomp import Decomposition
@@ -161,6 +163,31 @@ def test_check_c_regime_check():
     params = make_params(n=3, m=5, lam=1, mu=2, r=2, k=4)
     with pytest.raises(PreconditionError):
         check_c(k3_singletons(4), params)
+
+
+def test_pick_regime_boundaries():
+    n = 8
+    by_size = {n: None, n + 1: "T15", 2 * n - 3: "T15", 2 * n - 2: "C",
+               2 * n - 1: "B", 2 * n: "B"}
+    for m, regime in by_size.items():
+        for r in (2, 3):
+            if regime is None:
+                with pytest.raises(PreconditionError, match="m must exceed n"):
+                    pick_regime(n, m, r)
+            elif regime == "T15" and r < 3:
+                with pytest.raises(PreconditionError, match="requires r >= 3"):
+                    pick_regime(n, m, r)
+            else:
+                assert pick_regime(n, m, r) == regime
+
+
+def test_check_regime_runs_the_named_battery():
+    b_params = make_params(n=3, m=5, lam=1, mu=2, r=2, k=4)
+    assert check_regime("B", k3_singletons(4), b_params) == check_b(k3_singletons(4), b_params)
+    c_params = make_params(n=3, m=4, lam=1, mu=2, r=2, k=3)
+    assert check_regime("C", k3_singletons(3), c_params).battery == "C"
+    with pytest.raises(ValueError, match="unknown regime"):
+        check_regime("B-path", k3_singletons(4), b_params)
 
 
 def test_theorem15_constant_values():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from enclosings.conditions import check_a_prime, make_params
-from enclosings.decomp import Decomposition, PartialDecomposition, is_admissible
+from enclosings.decomp import Decomposition, is_admissible
 from enclosings.errors import InternalInconsistencyError, PreconditionError
 from enclosings.extend import (
     bryant_decompose,
@@ -137,14 +137,13 @@ def test_color_one_edge_loop_completes_decomposition():
         steps += 1
         assert is_admissible(gp, 2)
     assert steps == 2  # pool of 3 spare edges, one consumed by padding
-    full = gp.to_decomposition()
-    full.validate_partition()
+    gp.validate_partition()
 
 
 def test_color_one_edge_wrong_regime():
     g = k3_singletons(3)
     params = make_params(n=3, m=4, lam=1, mu=2, r=2, k=3)
-    gp = PartialDecomposition(
+    gp = Decomposition(
         complete_multigraph(3, 2), g.classes, complete_multigraph(3, 1)
     )
     with pytest.raises(PreconditionError):
@@ -179,7 +178,7 @@ def blocked_recolor_fixture():
         classes.append(cls)
     uncolored = Multigraph(4)
     uncolored.add_edge(0, 1)
-    gp = PartialDecomposition(
+    gp = Decomposition(
         complete_multigraph(4, 2), tuple(classes), uncolored
     )
     gp.validate_partition()
@@ -227,7 +226,7 @@ def test_recolor_direct_path_when_possible():
     classes[i] = reduced
     uncolored = gp.uncolored.copy()
     uncolored.add_edge(*pair)
-    strict = PartialDecomposition(gp.base, tuple(classes), uncolored)
+    strict = Decomposition(gp.base, tuple(classes), uncolored)
     result, actions = color_one_edge_with_recolor(strict, g, params)
     assert [a.kind for a in actions] == ["color"]
     assert result.is_complete()
@@ -238,7 +237,7 @@ def test_recolor_requires_margin():
     # divisibility gate passes and the margin 2(r-1) >= mu is what trips
     g = k3_singletons(6)
     params = make_params(n=3, m=4, lam=1, mu=4, r=2, k=6)
-    gp = PartialDecomposition(
+    gp = Decomposition(
         complete_multigraph(3, 4), g.classes, complete_multigraph(3, 3)
     )
     with pytest.raises(PreconditionError, match="2\\(r-1\\)"):
@@ -323,7 +322,7 @@ def test_enclose_in_mu_kn_b_path():
     assert check_a_prime(full, params).ok
     replayed = replay_trace(g, params, trace)
     assert replayed.is_complete()
-    assert replayed.to_decomposition() == full
+    assert replayed == full
 
 
 def test_enclose_in_mu_kn_c_path():
@@ -332,7 +331,7 @@ def test_enclose_in_mu_kn_c_path():
     full, trace = enclose_in_mu_kn(g, params, "C")
     assert check_a_prime(full, params).ok
     replayed = replay_trace(g, params, trace)
-    assert replayed.to_decomposition() == full
+    assert replayed == full
 
 
 def test_enclose_in_mu_kn_rejects_failing_battery():
@@ -360,4 +359,4 @@ def test_enclose_in_mu_kn_c_path_with_coloring_loop():
     assert check_a_prime(full, params).ok
     assert any(a.kind == "color" for a in trace.actions)
     replayed = replay_trace(g, params, trace)
-    assert replayed.to_decomposition() == full
+    assert replayed == full

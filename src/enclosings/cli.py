@@ -8,7 +8,8 @@ Instances are UTF-8 JSON files:
 Repeated pairs encode multiplicity.  The target parameters m, mu, r are
 command-line flags so that one inner instance can be tested against many
 targets.  Exit codes are a stable contract: 0 success, 1 condition or
-verification failure, 2 input error, 3 out-of-regime or cap exceeded,
+verification failure, 2 input error, 3 out-of-regime, cap exceeded or
+conditions that hold for parameters the construction does not cover,
 4 budget exhausted.
 """
 
@@ -173,7 +174,16 @@ def cmd_enclose(args) -> int:
         return EXIT_FAIL
 
     budget = args.budget if args.budget is not None else default_budget()
-    inner_full, trace = enclose_in_mu_kn(g, params, regime, seed=args.seed)
+    try:
+        inner_full, trace = enclose_in_mu_kn(g, params, regime, seed=args.seed)
+    except PreconditionError as exc:
+        # the battery passed, so this is a precondition of the construction
+        # itself, not a failed condition
+        _emit({
+            "status": "construction-not-covered",
+            "error": f"conditions hold, but the construction needs: {exc}",
+        })
+        return EXIT_REGIME
     triad = build_amalgamated_triad(inner_full, params)
     try:
         witness = fair_detach(triad, params, seed=args.seed, budget=budget)
@@ -193,7 +203,6 @@ def cmd_enclose(args) -> int:
         "extension": trace.as_list(),
         "detachment": {
             "nodes": witness.stats.nodes,
-            "restarts": witness.stats.restarts,
             "wall_time": witness.stats.wall_time,
         },
     })
@@ -239,6 +248,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1 or args.lam < 1 or args.k < 1:
+        raise InstanceFormatError("n, lambda, k must be positive")
+    if args.r < 2:
+        raise InstanceFormatError(f"r={args.r} must be >= 2")
     if args.exhaustive:
         out_dir = Path(args.out or "instances")
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,13 +6,16 @@ The amalgamated triad built from an admissible decomposition of mu*K_n with
 large-enough classes is "good": every class is 2-edge-connected spanning and
 every vertex v has class degree >= 2g(v).  Goodness is exactly the invariant
 that survives splitting one vertex off the amalgam, and every good state can
-be completed, so the search proceeds split by split, backtracking inside a
-split until the reduced state is good again.
+be completed, so the search is one loop over the splits: it backtracks only
+inside a split, until the reduced state is good again, and never revisits an
+accepted split.
 
 In this exact regime the fairness requirements collapse to equalities: each
 split vertex takes degree exactly r per color and multiplicity exactly mu to
 every other vertex, which become row/column sums of a small assignment
-matrix per split.
+matrix per split.  Its columns are the vertices already outside the amalgam,
+and its capacities come from one vector per class, `to_amalgam`, of the
+amalgam edges still running to each of those vertices.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ class Triad:
 @dataclass
 class DetachStats:
     nodes: int = 0
-    restarts: int = 0
     wall_time: float = 0.0
 
 
@@ -149,38 +151,38 @@ def is_good_triad(t: Triad) -> bool:
 class _SplitSearch:
     """Split the amalgam one vertex at a time.
 
-    State per color i: stub[i][j] = remaining amalgam-to-j edges for original
-    vertices j, back[i][y] = remaining amalgam-to-y edges for already split
-    vertices y, loops[i] = remaining amalgam loops.  A split of the next
-    vertex y chooses a k x (columns) matrix with row sums r and column sums
-    mu (mu * remaining for the amalgam column, where a unit converts one
-    loop into a y-to-amalgam edge).  A split is accepted when every reduced
-    class stays 2-edge-connected spanning.
+    State per color i: to_amalgam[i][v] = remaining amalgam-to-v edges for
+    every vertex v below the next split vertex (the original vertices, then
+    the split ones), loops[i] = remaining amalgam loops.  The split of
+    vertex y chooses a k x y matrix with row sums r and column sums mu, plus
+    per row a count of loops converted into y-to-amalgam edges; those counts
+    sum to mu times the number of vertices still in the amalgam.  A split is
+    accepted when every reduced class stays 2-edge-connected spanning.
+
+    `run` is one loop over the m - n splits; each split backtracks over its
+    rows only and then commits them.  An accepted split is never revisited:
+    a good state can always be completed, so a split with no solution is an
+    internal inconsistency.
     """
 
     def __init__(self, t: Triad, params: EnclosureParams, seed: int, budget: int):
-        self.params = params
         self.n = params.n
         self.m = params.m
         self.k = params.k
         self.r = params.r
         self.mu = params.mu
-        self.x0 = self.n
-        self.seed = seed
         self.budget = budget
         self.stats = DetachStats()
         self.rng = random.Random(seed) if seed else None
 
-        self.stub = [
-            [cls.multiplicity(self.x0, j) for j in range(self.n)]
-            for cls in t.decomposition.classes
+        x0 = self.n
+        classes = t.decomposition.classes
+        self.to_amalgam = [
+            [cls.multiplicity(x0, j) for j in range(self.n)] for cls in classes
         ]
-        self.loops = [cls.loop_count(self.x0) for cls in t.decomposition.classes]
-        self.back: list[dict[int, int]] = [dict() for _ in range(self.k)]
+        self.loops = [cls.loop_count(x0) for cls in classes]
         # result classes live on m vertices and start as the restriction
-        self.result = [
-            self._restricted(cls) for cls in t.decomposition.classes
-        ]
+        self.result = [self._restricted(cls) for cls in classes]
 
     def _restricted(self, cls: Multigraph) -> Multigraph:
         out = Multigraph(self.m)
@@ -189,42 +191,32 @@ class _SplitSearch:
                 out.add_edge(u, v, mult)
         return out
 
-    def _columns(self, y: int) -> list[int]:
-        # original vertices then split vertices; amalgam handled separately
-        return list(range(self.n)) + list(range(self.n, y))
-
-    def _cap(self, i: int, col: int) -> int:
-        if col < self.n:
-            return self.stub[i][col]
-        return self.back[i].get(col, 0)
-
-    def _consume(self, i: int, col: int, amount: int) -> None:
-        if col < self.n:
-            self.stub[i][col] -= amount
-        else:
-            self.back[i][col] = self.back[i].get(col, 0) - amount
-
     def run(self) -> list[Multigraph]:
-        if not self._split(0):
-            if self.stats.nodes >= self.budget:
-                raise BudgetExhaustedError(
-                    f"detachment search exceeded {self.budget} nodes"
+        for y in range(self.n, self.m):
+            remaining_after = self.m - y - 1
+            chosen = self._split(y, remaining_after)
+            if chosen is None:
+                if self.stats.nodes >= self.budget:
+                    raise BudgetExhaustedError(
+                        f"detachment search exceeded {self.budget} nodes"
+                    )
+                raise InternalInconsistencyError(
+                    f"split of vertex {y} has no solution; the good triad "
+                    "guarantee says one exists"
                 )
-            raise InternalInconsistencyError(
-                "detachment search exhausted without a solution; the good "
-                "triad guarantee says one exists"
-            )
+            self._commit(y, chosen, remaining_after)
         return self.result
 
     def _row_candidates(
-        self, i: int, y: int, cols: list[int], remaining_after: int
+        self, i: int, y: int, remaining_after: int
     ) -> list[tuple[tuple[int, ...], int]]:
         """All ways class i can serve the split vertex: a per-column vector
         plus a count of loops converted into amalgam edges, summing to r,
         filtered so that the class's reduced graph stays 2-edge-connected
         spanning.  Goodness is a per-class property, so filtering here means
         the combination search below never needs a global goodness check."""
-        caps = [min(self._cap(i, col), self.mu) for col in cols]
+        to_amalgam = self.to_amalgam[i]
+        caps = [min(count, self.mu) for count in to_amalgam]
         b_cap = min(self.loops[i], self.mu * remaining_after, self.r)
 
         # reduced class graph before the split vertex picks its edges:
@@ -233,30 +225,27 @@ class _SplitSearch:
         base = Multigraph(amalgam + 1)
         for (u, v), mult in self.result[i].edges.items():
             base.add_edge(u, v, mult)
-        for j in range(self.n):
-            if self.stub[i][j]:
-                base.add_edge(amalgam, j, self.stub[i][j])
-        for w, count in self.back[i].items():
+        for v, count in enumerate(to_amalgam):
             if count:
-                base.add_edge(amalgam, w, count)
+                base.add_edge(amalgam, v, count)
         if self.loops[i]:
             base.add_edge(amalgam, amalgam, self.loops[i])
 
         out: list[tuple[tuple[int, ...], int]] = []
-        vec = [0] * len(cols)
+        vec = [0] * y
 
         def rec(c: int, left: int):
-            if c == len(cols):
+            if c == y:
                 b = left
                 if b > b_cap:
                     return
                 if remaining_after == 0 and b != 0:
                     return
                 candidate = base.copy()
-                for cc, x in enumerate(vec):
+                for v, x in enumerate(vec):
                     if x:
-                        candidate.remove_edge(amalgam, cols[cc], x)
-                        candidate.add_edge(y, cols[cc], x)
+                        candidate.remove_edge(amalgam, v, x)
+                        candidate.add_edge(y, v, x)
                 if b:
                     candidate.remove_edge(amalgam, amalgam, b)
                     candidate.add_edge(y, amalgam, b)
@@ -276,104 +265,87 @@ class _SplitSearch:
             self.rng.shuffle(out)
         return out
 
-    def _split(self, depth: int) -> bool:
-        total_new = self.m - self.n
-        if depth == total_new:
-            return True
+    def _split(
+        self, y: int, remaining_after: int
+    ) -> list[tuple[tuple[int, ...], int]] | None:
+        """One row (vector, loop count) per class for the split of vertex y,
+        or None when the budget ran out or no assignment exists."""
         if self.stats.nodes >= self.budget:
-            return False
-        y = self.n + depth
-        remaining_after = total_new - depth - 1
-        cols = self._columns(y)
-
+            return None
         candidates = []
         for i in range(self.k):
-            cand = self._row_candidates(i, y, cols, remaining_after)
+            cand = self._row_candidates(i, y, remaining_after)
             if not cand:
-                return False
+                return None
             candidates.append(cand)
 
         row_order = sorted(range(self.k), key=lambda i: len(candidates[i]))
-        col_left = [self.mu] * len(cols)
-        state = {"amalgam_left": self.mu * remaining_after}
-        chosen: dict[int, tuple[tuple[int, ...], int]] = {}
+        # what the rows from position pos on can still give each column and
+        # the amalgam; caps stay fixed within a split
+        col_room = [[0] * y for _ in range(self.k + 1)]
+        amalgam_room = [0] * (self.k + 1)
+        for pos in range(self.k - 1, -1, -1):
+            i = row_order[pos]
+            col_room[pos] = [
+                room + min(count, self.mu, self.r)
+                for room, count in zip(col_room[pos + 1], self.to_amalgam[i])
+            ]
+            amalgam_room[pos] = amalgam_room[pos + 1] + min(self.loops[i], self.r)
 
-        def feasible(pos: int) -> bool:
+        col_left = [self.mu] * y
+        chosen: list[tuple[tuple[int, ...], int]] = [((), 0)] * self.k
+
+        def feasible(pos: int, amalgam_left: int) -> bool:
             # rows not yet placed must be able to finish every column and
             # the amalgam demand
-            rest = row_order[pos:]
-            for c in range(len(cols)):
-                if col_left[c] > sum(
-                    min(self._cap(i, cols[c]), self.mu, self.r) for i in rest
-                ):
-                    return False
-            if state["amalgam_left"] > sum(min(self.loops[i], self.r) for i in rest):
-                return False
-            return True
+            return amalgam_left <= amalgam_room[pos] and all(
+                left <= room for left, room in zip(col_left, col_room[pos])
+            )
 
-        def place(pos: int) -> bool:
+        def place(pos: int, amalgam_left: int) -> bool:
             if self.stats.nodes >= self.budget:
                 return False
             if pos == self.k:
-                if any(col_left) or state["amalgam_left"]:
-                    return False
-                return self._accept_split(y, cols, chosen, depth, remaining_after)
+                return not any(col_left) and not amalgam_left
             i = row_order[pos]
             for vec, b in candidates[i]:
                 self.stats.nodes += 1
                 if self.stats.nodes >= self.budget:
                     return False
-                if b > state["amalgam_left"] or any(
+                if b > amalgam_left or any(
                     x > left for x, left in zip(vec, col_left)
                 ):
                     continue
                 for c, x in enumerate(vec):
                     col_left[c] -= x
-                state["amalgam_left"] -= b
                 chosen[i] = (vec, b)
-                if feasible(pos + 1) and place(pos + 1):
+                if feasible(pos + 1, amalgam_left - b) and place(
+                    pos + 1, amalgam_left - b
+                ):
                     return True
-                del chosen[i]
-                state["amalgam_left"] += b
                 for c, x in enumerate(vec):
                     col_left[c] += x
             return False
 
-        return place(0)
+        return chosen if place(0, self.mu * remaining_after) else None
 
-    def _accept_split(
+    def _commit(
         self,
         y: int,
-        cols: list[int],
-        chosen: dict[int, tuple[tuple[int, ...], int]],
-        depth: int,
+        chosen: list[tuple[tuple[int, ...], int]],
         remaining_after: int,
-    ) -> bool:
-        if sum(b for _, b in chosen.values()) != self.mu * remaining_after:
+    ) -> None:
+        if sum(b for _, b in chosen) != self.mu * remaining_after:
             raise InternalInconsistencyError(
                 "degree conservation broke during the split"
             )
-        for i, (vec, b) in chosen.items():
-            for c, x in enumerate(vec):
+        for i, (vec, b) in enumerate(chosen):
+            for v, x in enumerate(vec):
                 if x:
-                    self._consume(i, cols[c], x)
-                    self.result[i].add_edge(y, cols[c], x)
-            if b:
-                self.loops[i] -= b
-                self.back[i][y] = self.back[i].get(y, 0) + b
-
-        if self._split(depth + 1):
-            return True
-
-        for i, (vec, b) in chosen.items():
-            for c, x in enumerate(vec):
-                if x:
-                    self._consume(i, cols[c], -x)
-                    self.result[i].remove_edge(y, cols[c], x)
-            if b:
-                self.loops[i] += b
-                del self.back[i][y]
-        return False
+                    self.to_amalgam[i][v] -= x
+                    self.result[i].add_edge(y, v, x)
+            self.loops[i] -= b
+            self.to_amalgam[i].append(b)
 
 
 def fair_detach(

@@ -174,6 +174,23 @@ def test_enclose_budget_exhaustion(tmp_path, capsys):
     assert code == 4
 
 
+def test_enclose_uncovered_construction_is_out_of_regime(tmp_path, capsys):
+    # the C battery passes, but the recoloring step needs 2(r-1) >= mu
+    path = tmp_path / "inst.json"
+    cli.main(["gen", "--n", "4", "--lambda", "1", "--k", "10", "--r", "2",
+              "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    assert cli.main(["check", str(path), "--m", "6", "--mu", "4", "--r", "2"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "enc.json"
+    code = cli.main(["enclose", str(path), "--m", "6", "--mu", "4", "--r", "2",
+                     "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert "2(r-1) >= mu > lambda" in report["error"]
+    assert not out.exists()
+
+
 def test_verify_detects_corruption(tmp_path, capsys):
     path = write_instance(tmp_path)
     out = tmp_path / "enclosing.json"
@@ -294,6 +311,22 @@ def test_env_budget_override(tmp_path, capsys, monkeypatch):
         "--out", str(tmp_path / "x.json"),
     ])
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "0", "--lambda", "1", "--k", "3", "--r", "2"], "must be positive"),
+        (["--n", "3", "--lambda", "0", "--k", "3", "--r", "2"], "must be positive"),
+        (["--n", "3", "--lambda", "1", "--k", "0", "--r", "2"], "must be positive"),
+        (["--n", "3", "--lambda", "1", "--k", "3", "--r", "1"], "r=1 must be >= 2"),
+    ],
+    ids=["n", "lambda", "k", "r"],
+)
+def test_gen_rejected_parameters_are_input_errors(tmp_path, capsys, flags, message):
+    code = cli.main(["gen", *flags, "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_gen_infeasible_parameters_exhaust(tmp_path, capsys):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 
 from enclosings.conditions import make_params
@@ -12,7 +15,9 @@ from enclosings.detach import (
     verify_detachment,
 )
 from enclosings.errors import BudgetExhaustedError, PreconditionError
+from enclosings.extend import enclose_in_mu_kn
 from enclosings.mgraph import Multigraph, complete_multigraph
+from enclosings.oracle import random_admissible
 
 
 def two_k3_paths():
@@ -151,6 +156,23 @@ def test_fair_detach_budget_exhaustion():
     triad = build_amalgamated_triad(a, params)
     with pytest.raises(BudgetExhaustedError):
         fair_detach(triad, params, budget=1)
+
+
+def test_fair_detach_stack_depth_does_not_grow_with_splits():
+    # seven splits of thirteen classes: a search that nests splits inside
+    # one another needs well over 60 frames here
+    params = make_params(n=7, m=14, lam=1, mu=2, r=2, k=13)
+    g = random_admissible(7, 1, 13, 2, seed=1)
+    full, _ = enclose_in_mu_kn(g, params, "B", seed=1)
+    triad = build_amalgamated_triad(full, params)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        witness = fair_detach(triad, params, seed=1, budget=50000)
+    finally:
+        sys.setrecursionlimit(limit)
+    ok, problems = verify_detachment(witness, triad, params)
+    assert ok, problems
 
 
 def test_verify_detachment_flags_perturbation():

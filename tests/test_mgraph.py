@@ -165,3 +165,24 @@ def test_two_edge_connected_matches_components_and_bridges(g):
         else True
     )
     assert g.is_two_edge_connected_spanning() == expected
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+@given(g=multigraphs())
+@settings(max_examples=200)
+def test_bridges_and_two_edge_connectivity_match_networkx(nx, g):
+    # nx.bridges never reports parallel edges or loops of a MultiGraph
+    ref = nx.MultiGraph()
+    ref.add_nodes_from(range(g.vertex_count))
+    for (u, v), mult in g.edges.items():
+        for _ in range(mult):
+            ref.add_edge(u, v)
+    expected = {tuple(sorted(edge)) for edge in nx.bridges(ref)}
+    assert g.bridges() == expected
+    assert g.is_two_edge_connected_spanning() == (
+        nx.is_connected(ref) and not expected
+    )

@@ -10,7 +10,8 @@ command-line flags so that one inner instance can be tested against many
 targets.  Exit codes are a stable contract: 0 success, 1 condition or
 verification failure, 2 input error, 3 out-of-regime, cap exceeded or
 conditions that hold for parameters the construction does not cover,
-4 budget exhausted.
+4 budget exhausted, 5 internal error (an `InternalInconsistencyError` or a
+`RecursionError`: a bug, never an answer about the instance).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     BudgetExhaustedError,
     CapExceededError,
     InstanceFormatError,
+    InternalInconsistencyError,
     PreconditionError,
 )
 from .extend import enclose_in_mu_kn
@@ -39,6 +41,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_REGIME = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -47,10 +50,22 @@ def default_budget() -> int:
     env = os.environ.get("ENCLOSE_BUDGET")
     if env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise InstanceFormatError(f"ENCLOSE_BUDGET must be an integer, got {env!r}")
+        if budget < 1:
+            raise InstanceFormatError(f"ENCLOSE_BUDGET must be >= 1, got {budget}")
+        return budget
     return DEFAULT_BUDGET
+
+
+def _budget(args) -> int:
+    """The --budget flag, else default_budget(); below 1 is an input error."""
+    if args.budget is None:
+        return default_budget()
+    if args.budget < 1:
+        raise InstanceFormatError(f"--budget must be >= 1, got {args.budget}")
+    return args.budget
 
 
 def load_instance(path: str | Path) -> tuple[int, int, int, Decomposition]:
@@ -157,6 +172,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enclose(args) -> int:
+    budget = _budget(args)
     n, lam, k, g = load_instance(args.instance)
     params = _params(n, args.m, lam, args.mu, args.r, k)
     try:
@@ -173,7 +189,6 @@ def cmd_enclose(args) -> int:
         })
         return EXIT_FAIL
 
-    budget = args.budget if args.budget is not None else default_budget()
     try:
         inner_full, trace = enclose_in_mu_kn(g, params, regime, seed=args.seed)
     except PreconditionError as exc:
@@ -228,9 +243,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    budget = _budget(args)
     n, lam, k, g = load_instance(args.instance)
     params = _params(n, args.m, lam, args.mu, args.r, k)
-    budget = args.budget if args.budget is not None else default_budget()
     result = brute_force_enclose(g, params, budget=budget)
     report = {
         "status": result.status.upper(),
@@ -345,6 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhaustedError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
+    except (InternalInconsistencyError, RecursionError) as exc:
+        detail = f"internal error: {type(exc).__name__}: {exc}"
+        print(json.dumps({"error": detail}), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

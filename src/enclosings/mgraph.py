@@ -4,6 +4,8 @@ Vertices are dense integers 0..vertex_count-1.  Edges are stored as a map
 from normalized unordered pair (u, v) with u <= v to a positive
 multiplicity; u == v encodes loops.  Instances are treated as immutable by
 callers; search code mutates private copies via add_edge/remove_edge.
+`edges` is the only state: traversals derive a neighbor map from it per
+call, so no degree array or adjacency cache has to be kept in sync.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ class Multigraph:
     def loop_count(self, v: int) -> int:
         return self.edges.get((v, v), 0)
 
+    def _neighbor_counts(self) -> list[dict[int, int]]:
+        """Per vertex, {neighbor: multiplicity}; loops excluded."""
+        nbrs: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]
+        for (a, b), mult in self.edges.items():
+            if a != b:
+                nbrs[a][b] = mult
+                nbrs[b][a] = mult
+        return nbrs
+
     def neighbors(self, v: int) -> list[int]:
         """Sorted distinct neighbors of v (loops excluded)."""
         out = set()
@@ -88,19 +99,9 @@ class Multigraph:
                 out.add(a)
         return sorted(out)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for (a, b), mult in self.edges.items():
-            if a != b and mult > 0:
-                adj[a].append(b)
-                adj[b].append(a)
-        for row in adj:
-            row.sort()
-        return adj
-
     def components(self) -> list[tuple[int, ...]]:
         """Maximal connected vertex sets, each sorted, ordered by smallest vertex."""
-        adj = self.adjacency()
+        nbrs = self._neighbor_counts()
         seen = [False] * self.vertex_count
         comps: list[tuple[int, ...]] = []
         for start in range(self.vertex_count):
@@ -111,7 +112,7 @@ class Multigraph:
             comp = [start]
             while stack:
                 x = stack.pop()
-                for y in adj[x]:
+                for y in nbrs[x]:
                     if not seen[y]:
                         seen[y] = True
                         stack.append(y)
@@ -119,55 +120,53 @@ class Multigraph:
             comps.append(tuple(sorted(comp)))
         return comps
 
+    def _low_link(self, roots: range | tuple[int]) -> tuple[int, set[tuple[int, int]]]:
+        """Iterative low-link DFS (Tarjan 1974) from each unvisited root;
+        returns (vertices reached, bridges).  The tree edge to the parent is
+        a back edge only when it has a parallel copy."""
+        nbrs = self._neighbor_counts()
+        disc = [-1] * self.vertex_count
+        low = [0] * self.vertex_count
+        out: set[tuple[int, int]] = set()
+        reached = 0
+        for root in roots:
+            if disc[root] >= 0:
+                continue
+            disc[root] = low[root] = reached
+            reached += 1
+            stack = [(root, -1, iter(nbrs[root].items()))]
+            while stack:
+                v, parent, todo = stack[-1]
+                for w, mult in todo:
+                    if disc[w] < 0:
+                        disc[w] = low[w] = reached
+                        reached += 1
+                        stack.append((w, v, iter(nbrs[w].items())))
+                        break
+                    if (w != parent or mult >= 2) and disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    if parent >= 0:
+                        if low[v] > disc[parent]:
+                            out.add(_norm(parent, v))
+                        elif low[v] < low[parent]:
+                            low[parent] = low[v]
+        return reached, out
+
     def bridges(self) -> set[tuple[int, int]]:
         """Pairs {u, v} of multiplicity exactly 1 whose removal disconnects
         their component.  Parallel classes of multiplicity >= 2 are never
         bridges; loops are never bridges."""
-        adj = self.adjacency()
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
-        out: set[tuple[int, int]] = set()
-        counter = [0]
-
-        def dfs(root: int) -> None:
-            # iterative DFS to keep recursion depth independent of n
-            stack: list[tuple[int, int, int, bool]] = [(root, -1, 0, False)]
-            while stack:
-                v, parent, idx, skipped = stack.pop()
-                if idx == 0:
-                    disc[v] = low[v] = counter[0]
-                    counter[0] += 1
-                while idx < len(adj[v]):
-                    w = adj[v][idx]
-                    idx += 1
-                    if w == parent and not skipped and self.multiplicity(v, w) == 1:
-                        skipped = True
-                        continue
-                    if w not in disc:
-                        stack.append((v, parent, idx, skipped))
-                        stack.append((w, v, 0, False))
-                        break
-                    low[v] = min(low[v], disc[w])
-                else:
-                    if parent != -1:
-                        low[parent] = min(low[parent], low[v])
-                        if low[v] > disc[parent] and self.multiplicity(parent, v) == 1:
-                            out.add(_norm(parent, v))
-
-        for v in range(self.vertex_count):
-            if v not in disc:
-                dfs(v)
-        return out
+        return self._low_link(range(self.vertex_count))[1]
 
     def is_two_edge_connected_spanning(self) -> bool:
         """Connected on all vertices and bridgeless.  A single vertex counts;
         two or more vertices with any isolated vertex does not."""
         if self.vertex_count <= 1:
             return True
-        comps = self.components()
-        if len(comps) != 1:
-            return False
-        return not self.bridges()
+        reached, bridges = self._low_link((0,))
+        return reached == self.vertex_count and not bridges
 
     def induced(self, vertices: int) -> Multigraph:
         """Induced sub-multigraph on vertices 0..vertices-1."""

@@ -9,6 +9,7 @@ from enclosings import cli
 from enclosings.cli import load_instance, serialize_decomposition, write_json
 from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
 from enclosings.decomp import Decomposition
+from enclosings.errors import InternalInconsistencyError
 
 
 def instance_payload():
@@ -311,6 +312,51 @@ def test_env_budget_override(tmp_path, capsys, monkeypatch):
         "--out", str(tmp_path / "x.json"),
     ])
     assert code == 4
+
+
+@pytest.mark.parametrize("command", ["enclose", "oracle"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_an_input_error(tmp_path, capsys, command, budget):
+    path = write_instance(tmp_path)
+    code = cli.main([
+        command, str(path), "--m", "5", "--mu", "2", "--r", "2",
+        "--budget", budget, "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert f"--budget must be >= 1, got {budget}" in json.loads(
+        capsys.readouterr().err
+    )["error"]
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["enclose", "oracle"])
+def test_env_budget_below_one_is_an_input_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("ENCLOSE_BUDGET", "0")
+    path = write_instance(tmp_path)
+    code = cli.main([command, str(path), "--m", "5", "--mu", "2", "--r", "2",
+                     "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "ENCLOSE_BUDGET must be >= 1, got 0" in json.loads(
+        capsys.readouterr().err
+    )["error"]
+
+
+@pytest.mark.parametrize("error", [InternalInconsistencyError, RecursionError])
+def test_internal_error_exits_5_with_json(tmp_path, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("split 5 has no solution")
+
+    monkeypatch.setattr(cli, "fair_detach", broken)
+    path = write_instance(tmp_path)
+    code = cli.main(["enclose", str(path), "--m", "5", "--mu", "2", "--r", "2",
+                     "--out", str(tmp_path / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["error"] == (
+        f"internal error: {error.__name__}: split 5 has no solution"
+    )
 
 
 @pytest.mark.parametrize(

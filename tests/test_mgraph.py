@@ -186,3 +186,18 @@ def test_bridges_and_two_edge_connectivity_match_networkx(nx, g):
     assert g.is_two_edge_connected_spanning() == (
         nx.is_connected(ref) and not expected
     )
+    assert g.components() == sorted(
+        tuple(sorted(c)) for c in nx.connected_components(ref)
+    )
+
+
+def test_traversals_on_a_deep_cycle():
+    # a 20 000-vertex cycle: far deeper than Python's recursion limit
+    n = 20_000
+    cycle = graph_from(n, [(v, (v + 1) % n) for v in range(n)])
+    assert cycle.is_two_edge_connected_spanning()
+    assert cycle.bridges() == set()
+    cycle.remove_edge(n - 1, 0)
+    assert not cycle.is_two_edge_connected_spanning()
+    assert len(cycle.bridges()) == n - 1
+    assert len(cycle.components()) == 1

@@ -31,9 +31,6 @@ from .extend import (
     color_one_edge,
     color_one_edge_with_recolor,
     enclose_in_mu_kn,
-    extend_to_r_via_matching,
-    pad_to_p,
-    proper_padding,
     replay_trace,
 )
 from .detach import (
@@ -79,9 +76,6 @@ __all__ = [
     "color_one_edge",
     "color_one_edge_with_recolor",
     "enclose_in_mu_kn",
-    "extend_to_r_via_matching",
-    "pad_to_p",
-    "proper_padding",
     "replay_trace",
     "DetachmentWitness",
     "Triad",

@@ -12,6 +12,10 @@ verification failure, 2 input error, 3 out-of-regime, cap exceeded or
 conditions that hold for parameters the construction does not cover,
 4 budget exhausted, 5 internal error (an `InternalInconsistencyError` or a
 `RecursionError`: a bug, never an answer about the instance).
+
+`check` runs the regime's battery itself.  `enclose` leaves it to
+`enclose_in_mu_kn`, the one stage-1 entry, and reports failed conditions
+from the `ConditionsFailedError` it raises.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .detach import build_amalgamated_triad, fair_detach, verify_detachment
 from .errors import (
     BudgetExhaustedError,
     CapExceededError,
+    ConditionsFailedError,
     InstanceFormatError,
     InternalInconsistencyError,
     PreconditionError,
@@ -75,12 +80,17 @@ def load_instance(path: str | Path) -> tuple[int, int, int, Decomposition]:
     except (OSError, json.JSONDecodeError) as exc:
         raise InstanceFormatError(f"cannot read instance {path}: {exc}")
     try:
-        n = int(payload["n"])
-        lam = int(payload["lambda"])
-        k = int(payload["k"])
+        n, lam, k = (payload[key] for key in ("n", "lambda", "k"))
         raw_classes = payload["classes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"instance {path} missing or malformed field: {exc}")
+    for key, value in (("n", n), ("lambda", lam), ("k", k)):
+        # JSON true and 3.0 are not integers here: coercing them would
+        # silently read a different instance
+        if type(value) is not int:
+            raise InstanceFormatError(
+                f"instance {path} field {key} is not an integer: {value!r}"
+            )
     if n < 1 or lam < 1 or k < 1:
         raise InstanceFormatError("n, lambda, k must be positive")
     if not isinstance(raw_classes, list):
@@ -96,7 +106,7 @@ def load_instance(path: str | Path) -> tuple[int, int, int, Decomposition]:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)
+                or not all(type(x) is int for x in pair)
             ):
                 raise InstanceFormatError(f"class {idx} has a malformed pair {pair}")
             u, v = pair
@@ -180,17 +190,15 @@ def cmd_enclose(args) -> int:
     except PreconditionError:
         _emit({"error": "no applicable theorem regime for these parameters"})
         return EXIT_REGIME
-    battery = check_regime(regime, g, params)
-    if not battery.ok:
-        _emit({
-            "status": "conditions-failed",
-            "first_failing": battery.first_failing(),
-            "battery": battery.as_dict(),
-        })
-        return EXIT_FAIL
-
     try:
         inner_full, trace = enclose_in_mu_kn(g, params, regime, seed=args.seed)
+    except ConditionsFailedError as exc:
+        _emit({
+            "status": "conditions-failed",
+            "first_failing": exc.report.first_failing(),
+            "battery": exc.report.as_dict(),
+        })
+        return EXIT_FAIL
     except PreconditionError as exc:
         # the battery passed, so this is a precondition of the construction
         # itself, not a failed condition

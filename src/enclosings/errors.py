@@ -5,6 +5,15 @@ class PreconditionError(ValueError):
     """A named precondition of an operation does not hold."""
 
 
+class ConditionsFailedError(PreconditionError):
+    """The regime's condition battery fails on the input; `report` is the
+    failing `ConditionReport`."""
+
+    def __init__(self, report):
+        super().__init__(f"condition {report.first_failing()} fails")
+        self.report = report
+
+
 class InstanceFormatError(ValueError):
     """An instance file or in-memory instance is malformed."""
 

@@ -2,7 +2,9 @@
 decomposition of mu*K_n whose classes are admissible and large enough to
 detach.
 
-Three routes, one per regime of `conditions.pick_regime`:
+`enclose_in_mu_kn` is the one entry: it runs the regime's battery once and
+then takes one of three private routes, one per regime of
+`conditions.pick_regime`:
   B   (m >= 2n-1): pad every small class up to p edges, then color the
           remaining spare edges one at a time; a greedy color always exists.
   C   (m = 2n-2, so p = r): top every class up to r edges through a
@@ -26,16 +28,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .conditions import (
-    EnclosureParams,
-    check_a_prime,
-    check_b,
-    check_c,
-    check_regime,
-    check_theorem15,
-)
+from .conditions import EnclosureParams, check_a_prime, check_regime
 from .decomp import Decomposition, class_admissibility_violation
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import ConditionsFailedError, InternalInconsistencyError, PreconditionError
 from .mgraph import Multigraph, complete_multigraph
 
 
@@ -117,20 +112,15 @@ def _start_state(g: Decomposition, params: EnclosureParams) -> tuple[list[Multig
     return [cls.copy() for cls in g.classes], spare_pool(params)
 
 
-def pad_to_p(
+def _pad_to_p(
     g: Decomposition, params: EnclosureParams, seed: int = 0
 ) -> tuple[Decomposition, ExtensionTrace]:
-    """Add spare edges so that every class has at least p edges.
+    """Add spare edges so that every class has at least p edges; g has
+    passed battery B, so the spare pool covers the deficiency (B3).
 
     Any choice of spare edges works here: a class that ends with at most
     p <= r/2 edges cannot violate any admissibility bullet.
     """
-    if params.m < 2 * params.n - 1:
-        raise PreconditionError(f"pad_to_p needs m >= 2n-1, got m={params.m}")
-    report = check_b(g, params)
-    for name in ("B2", "B3"):
-        if not report.passed(name):
-            raise PreconditionError(f"pad_to_p precondition {name} fails")
     classes, pool = _start_state(g, params)
     trace = ExtensionTrace()
     base = complete_multigraph(params.n, params.mu)
@@ -174,10 +164,11 @@ def _max_bipartite_matching(adj: list[list[int]], w_count: int) -> list[int | No
     return match_of_v
 
 
-def extend_to_r_via_matching(
+def _extend_to_r_via_matching(
     g: Decomposition, params: EnclosureParams, seed: int = 0
 ) -> tuple[Decomposition, ExtensionTrace]:
-    """Top every class up to r edges in the m = 2n-2 regime.
+    """Top every class up to r edges in the m = 2n-2 regime; g has passed
+    battery C.
 
     Step 1 gives every empty class one spare edge.  Step 2 builds a bipartite
     graph: one side has r-i slots per class that still has i < r edges, the
@@ -187,12 +178,6 @@ def extend_to_r_via_matching(
     whenever the pair and deficiency bounds hold; its assignments finish the
     job.
     """
-    if params.m != 2 * params.n - 2:
-        raise PreconditionError(f"matching extension needs m = 2n-2, got m={params.m}")
-    report = check_c(g, params)
-    for name in ("C2", "C3", "C4"):
-        if not report.passed(name):
-            raise PreconditionError(f"matching extension precondition {name} fails")
     r = params.r
     classes, pool = _start_state(g, params)
     trace = ExtensionTrace()
@@ -540,18 +525,14 @@ def bryant_decompose(
     return Decomposition(complete_multigraph(n, lam), tuple(classes))
 
 
-def proper_padding(
+def _proper_padding(
     g: Decomposition, params: EnclosureParams, seed: int = 0
 ) -> tuple[Decomposition, ExtensionTrace]:
     """Glue a near-equal almost-regular decomposition of the spare pool onto
-    g, one pool class per color.  The class-count bound forces every pool
-    class to be a matching, so the union of an (r-1)-admissible class and a
-    matching stays r-admissible, and every class picks up at least p edges."""
-    report = check_theorem15(g, params)
-    if not report.ok:
-        raise PreconditionError(
-            f"proper padding precondition {report.first_failing()} fails"
-        )
+    g, one pool class per color; g has passed battery T15.  The class-count
+    bound (T5) forces every pool class to be a matching, so the union of an
+    (r-1)-admissible class and a matching stays r-admissible, and every
+    class picks up at least p edges."""
     n, k, mu, lam, r = params.n, params.k, params.mu, params.lam, params.r
     spare_total = (mu - lam) * n * (n - 1) // 2
     q, rem = divmod(spare_total, k)
@@ -577,9 +558,7 @@ def proper_padding(
             raise InternalInconsistencyError(
                 f"class {i} has {merged.edge_count()} < p = {params.p} edges"
             )
-    result = Decomposition(complete_multigraph(n, mu), tuple(classes))
-    result.validate_partition()
-    return result, trace
+    return Decomposition(complete_multigraph(n, mu), tuple(classes)), trace
 
 
 def enclose_in_mu_kn(
@@ -587,22 +566,26 @@ def enclose_in_mu_kn(
 ) -> tuple[Decomposition, ExtensionTrace]:
     """Run the mode's full first stage: a decomposition of mu*K_n enclosing
     g in which every class is admissible and has at least p edges.  Mode is
-    the regime, "B", "C", or "T15", whose battery g must pass."""
+    the regime, "B", "C", or "T15", whose battery g must pass.
+
+    This is the one place stage 1 runs the battery: it raises
+    ConditionsFailedError, carrying the report, when the battery fails, and
+    the routes behind it take the battery's conditions as given."""
     report = check_regime(mode, g, params)
     if not report.ok:
-        raise PreconditionError(f"condition {report.first_failing()} fails")
+        raise ConditionsFailedError(report)
     if mode == "B":
-        result, trace = pad_to_p(g, params, seed)
+        result, trace = _pad_to_p(g, params, seed)
         while not result.is_complete():
             result, (edge, cls) = color_one_edge(result, params)
             trace.record("color", edge, cls)
     elif mode == "C":
-        result, trace = extend_to_r_via_matching(g, params, seed)
+        result, trace = _extend_to_r_via_matching(g, params, seed)
         while not result.is_complete():
             result, actions = color_one_edge_with_recolor(result, g, params)
             trace.actions.extend(actions)
     else:
-        result, trace = proper_padding(g, params, seed)
+        result, trace = _proper_padding(g, params, seed)
 
     result.validate_partition()
     a_report = check_a_prime(result, params)

@@ -89,16 +89,6 @@ class Multigraph:
                 nbrs[b][a] = mult
         return nbrs
 
-    def neighbors(self, v: int) -> list[int]:
-        """Sorted distinct neighbors of v (loops excluded)."""
-        out = set()
-        for (a, b) in self.edges:
-            if a == v and b != v:
-                out.add(b)
-            elif b == v and a != v:
-                out.add(a)
-        return sorted(out)
-
     def components(self) -> list[tuple[int, ...]]:
         """Maximal connected vertex sets, each sorted, ordered by smallest vertex."""
         nbrs = self._neighbor_counts()

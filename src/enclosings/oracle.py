@@ -163,15 +163,8 @@ def brute_force_enclose(
         """v just saturated in class i: its component can no longer grow.  If
         the whole component is saturated it is frozen; a frozen component
         must already span all m vertices and be bridgeless."""
-        comp = {v}
-        frontier = [v]
         cls = classes[i]
-        while frontier:
-            x = frontier.pop()
-            for w in cls.neighbors(x):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
+        comp = next(c for c in cls.components() if v in c)
         if any(degrees[i][w] < r for w in comp):
             return False
         if len(comp) < m:

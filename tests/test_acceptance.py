@@ -29,12 +29,12 @@ from enclosings.detach import (
 )
 from enclosings.errors import PreconditionError
 from enclosings.extend import (
+    _extend_to_r_via_matching,
+    _pad_to_p,
     bryant_decompose,
     color_one_edge,
     color_one_edge_with_recolor,
     enclose_in_mu_kn,
-    extend_to_r_via_matching,
-    pad_to_p,
 )
 from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
 from enclosings.oracle import (
@@ -268,7 +268,7 @@ def test_criterion_7_step_invariance_suite():
             g = random_admissible(n, lam, k, r, seed=seed)
             if not check_b(g, params).ok:
                 continue
-            gp, _ = pad_to_p(g, params, seed=seed)
+            gp, _ = _pad_to_p(g, params, seed=seed)
             assert is_admissible(gp, r)
             _assert_superdecomposition(g, gp)
             while not gp.is_complete():
@@ -283,7 +283,7 @@ def test_criterion_7_step_invariance_suite():
             g = random_admissible(n, lam, k, r, seed=seed)
             if not check_c(g, params).ok:
                 continue
-            gp, trace = extend_to_r_via_matching(g, params, seed=seed)
+            gp, trace = _extend_to_r_via_matching(g, params, seed=seed)
             assert is_admissible(gp, r)
             _assert_superdecomposition(g, gp)
             while not gp.is_complete():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from enclosings import cli
+from enclosings import cli, conditions
 from enclosings.cli import load_instance, serialize_decomposition, write_json
 from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
 from enclosings.decomp import Decomposition
@@ -92,6 +92,24 @@ def test_check_rejects_non_list_classes(tmp_path, capsys, classes):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("n", 3.9), ("lambda", True), ("k", "4"), ("pair", True)],
+)
+def test_check_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    # int() would coerce each of these into a different instance: 3.9 to 3,
+    # true to 1, "4" to 4
+    payload = instance_payload()
+    if field == "pair":
+        payload["classes"][0] = [[0, value]]
+    else:
+        payload[field] = value
+    path = write_instance(tmp_path, payload)
+    code = cli.main(["check", str(path), "--m", "5", "--mu", "2", "--r", "2"])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--m", "5", "--mu", "2", "--r", "1"], "r=1 must be >= 2"),
@@ -164,6 +182,23 @@ def test_enclose_condition_failure_names_condition(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["first_failing"] == "B2"
+
+
+def test_enclose_runs_the_battery_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    battery_b = conditions._BATTERIES["B"]
+
+    def counting(g, params):
+        calls.append(1)
+        return battery_b(g, params)
+
+    monkeypatch.setitem(conditions._BATTERIES, "B", counting)
+    path = write_instance(tmp_path)
+    code = cli.main(["enclose", str(path), "--m", "5", "--mu", "2", "--r", "2",
+                     "--out", str(tmp_path / "x.json"),
+                     "--trace-out", str(tmp_path / "t.json")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_enclose_budget_exhaustion(tmp_path, capsys):

@@ -27,7 +27,6 @@ from .conditions import (
 )
 from .extend import (
     ExtensionTrace,
-    bryant_decompose,
     color_one_edge,
     color_one_edge_with_recolor,
     enclose_in_mu_kn,
@@ -45,6 +44,7 @@ from .oracle import (
     EnclosureSearchResult,
     SearchStats,
     brute_force_admissible,
+    bryant_decompose,
     brute_force_enclose,
     enumerate_decompositions,
     random_admissible,
@@ -72,7 +72,6 @@ __all__ = [
     "pick_regime",
     "theorem15_constant",
     "ExtensionTrace",
-    "bryant_decompose",
     "color_one_edge",
     "color_one_edge_with_recolor",
     "enclose_in_mu_kn",
@@ -86,6 +85,7 @@ __all__ = [
     "EnclosureSearchResult",
     "SearchStats",
     "brute_force_admissible",
+    "bryant_decompose",
     "brute_force_enclose",
     "enumerate_decompositions",
     "random_admissible",

@@ -10,8 +10,9 @@ command-line flags so that one inner instance can be tested against many
 targets.  Exit codes are a stable contract: 0 success, 1 condition or
 verification failure, 2 input error, 3 out-of-regime, cap exceeded or
 conditions that hold for parameters the construction does not cover,
-4 budget exhausted, 5 internal error (an `InternalInconsistencyError` or a
-`RecursionError`: a bug, never an answer about the instance).
+4 budget exhausted, 5 internal error (an `InternalInconsistencyError`, a
+`RecursionError`, or an `enclose` result that fails its own verification:
+a bug, never an answer about the instance).
 
 `check` runs the regime's battery itself.  `enclose` leaves it to
 `enclose_in_mu_kn`, the one stage-1 entry, and reports failed conditions
@@ -77,7 +78,9 @@ def load_instance(path: str | Path) -> tuple[int, int, int, Decomposition]:
     """Parse an instance file into (n, lambda, k, decomposition)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # a file that is not UTF-8, or nests too deep for the decoder, is
+        # malformed input like any other
         raise InstanceFormatError(f"cannot read instance {path}: {exc}")
     try:
         n, lam, k = (payload[key] for key in ("n", "lambda", "k"))
@@ -217,8 +220,9 @@ def cmd_enclose(args) -> int:
     enclosing = Enclosing(witness.result, n)
     ok, problems = verify_enclosing(g, enclosing, params)
     if not ok:
+        # the pipeline's own answer failed its check: a bug, not a verdict
         _emit({"status": "self-verification-failed", "problems": problems})
-        return EXIT_FAIL
+        return EXIT_INTERNAL
     out = args.out or f"{args.instance}.enclosing.json"
     trace_out = args.trace_out or f"{args.instance}.trace.json"
     write_json(out, serialize_decomposition(witness.result, args.mu))

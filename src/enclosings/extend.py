@@ -12,10 +12,14 @@ then takes one of three private routes, one per regime of
           slots keep a class from ending as r parallel edges), then color
           one edge at a time, occasionally recoloring a non-protected edge
           out of the way.
-  T15 (r >= 3): decompose the whole spare pool into k near-equal
-          almost-regular classes; with k large enough the pool classes are
-          matchings, and gluing a matching onto an (r-1)-admissible class
-          keeps it r-admissible.
+  T15 (r >= 3): split the whole spare pool into k matchings of near-equal
+          size, built directly: the round-robin 1-factors of each copy of
+          K_n, balanced by swapping colors along alternating paths.  T5
+          (k >= (mu-lambda)n) leaves room for every factor, and gluing a
+          matching onto an (r-1)-admissible class keeps it r-admissible.
+
+No route searches: B is greedy, C is one bipartite matching, and T15 is a
+construction.
 
 Every single mutation re-checks admissibility of the touched classes and
 raises InternalInconsistencyError on failure: the constructions guarantee
@@ -390,168 +394,83 @@ def color_one_edge_with_recolor(
     return Decomposition(gp.base, tuple(classes), uncolored), actions
 
 
-def almost_regular_degree_bounds(size: int, n: int) -> tuple[int, int]:
-    """Vertex degrees of an almost-regular class with `size` edges on n
-    vertices are forced into {lo, hi}."""
-    lo = (2 * size) // n
-    hi = -((-2 * size) // n)
-    return lo, hi
+def _near_equal_matchings(n: int, mult: int, k: int, seed: int = 0) -> list[Multigraph]:
+    """Split mult*K_n into k matchings whose sizes differ by at most one;
+    needs k >= mult*n, which T5 gives.
 
+    The round-robin (near-)1-factors of each copy of K_n fill the first
+    classes: n-1 per copy for even n, n for odd n.  Then, while the largest
+    class A and the smallest class B differ by two or more edges, colors
+    swap along a path of A and B that starts and ends with an A-edge.  Two
+    matchings form paths and even cycles (2-cycles included), so when A is
+    larger such a path exists.  A nonzero seed only relabels the vertices
+    and shuffles the class order."""
+    if k < mult * n:
+        raise PreconditionError(f"{mult}*K_{n} needs k >= {mult * n} matchings, got {k}")
+    rounds = n - 1 + n % 2
+    mates = [[-1] * n for _ in range(k)]  # mates[c][v]: v's partner in class c, or -1
+    for c in range(mult * rounds):
+        i, mate = c % rounds, mates[c]
+        if n % 2 == 0:
+            mate[i], mate[n - 1] = n - 1, i
+        for j in range(1, (rounds + 1) // 2):
+            u, v = (i + j) % rounds, (i - j) % rounds
+            mate[u], mate[v] = v, u
+    sizes = [n // 2] * (mult * rounds) + [0] * (k - mult * rounds)
 
-def bryant_decompose(
-    n: int, lam: int, sizes: list[int], seed: int = 0
-) -> Decomposition:
-    """Pack edge-disjoint almost-regular classes of the given sizes into
-    lambda*K_n, by backtracking over per-pair copy assignments.
+    while max(sizes) - min(sizes) >= 2:
+        a, b = sizes.index(max(sizes)), sizes.index(min(sizes))
+        big, small = mates[a], mates[b]
+        for x in range(n):
+            if big[x] < 0 or small[x] >= 0:
+                continue
+            path = [x]
+            while (nxt := (big if len(path) % 2 else small)[path[-1]]) >= 0:
+                path.append(nxt)
+            if len(path) % 2 == 0:  # starts and ends with a big-edge
+                break
+        else:
+            raise InternalInconsistencyError(f"classes {a} and {b} have no path to swap")
+        for v in path:
+            big[v] = small[v] = -1
+        for idx, (u, v) in enumerate(zip(path, path[1:])):
+            side = small if idx % 2 == 0 else big
+            side[u], side[v] = v, u
+        sizes[a] -= 1
+        sizes[b] += 1
 
-    Feasible exactly when sum(sizes) <= lam * C(n, 2); leftover copies stay
-    unused.  Degree targets per class are forced (lo/hi from the size), and
-    the search prunes on them.
-    """
-    total = lam * n * (n - 1) // 2
-    if sum(sizes) > total:
-        raise PreconditionError(
-            f"sizes sum to {sum(sizes)} > {total} available edges"
-        )
-    t = len(sizes)
-    bounds = [almost_regular_degree_bounds(s, n) for s in sizes]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng = random.Random(seed) if seed else None
-    if rng:
-        rng.shuffle(pairs)
-
-    counts = [0] * t
-    degrees = [[0] * n for _ in range(t)]
-    assignment: list[list[int]] = []  # per pair: copies per class
-
-    incident_after: list[list[int]] = []  # remaining copies at v strictly after pair idx
-    inc = [0] * n
-    for pair in reversed(pairs):
-        incident_after.insert(0, list(inc))
-        inc[pair[0]] += lam
-        inc[pair[1]] += lam
-
-    def distributions(idx: int) -> list[list[int]]:
-        u, v = pairs[idx]
-        room = []
-        for i in range(t):
-            cap = min(
-                lam,
-                sizes[i] - counts[i],
-                bounds[i][1] - degrees[i][u],
-                bounds[i][1] - degrees[i][v],
-            )
-            room.append(max(0, cap))
-        out: list[list[int]] = []
-
-        def rec(i: int, left: int, current: list[int]):
-            if i == t:
-                out.append(list(current))
-                return
-            for x in range(min(room[i], left), -1, -1):
-                current.append(x)
-                rec(i + 1, left - x, current)
-                current.pop()
-
-        rec(0, lam, [])
-
-        def score(dist: list[int]) -> tuple:
-            gain = 0
-            for i, x in enumerate(dist):
-                if x == 0:
-                    continue
-                need_u = max(0, bounds[i][0] - degrees[i][u])
-                need_v = max(0, bounds[i][0] - degrees[i][v])
-                gain += x * (need_u + need_v) + x
-            return (-gain,)
-
-        out.sort(key=score)
-        if rng:
-            rng.shuffle(out)
-            out.sort(key=score)  # stable shuffle only breaks score ties
-        return out
-
-    def feasible(idx: int) -> bool:
-        remaining_total = lam * (len(pairs) - idx)
-        if sum(sizes[i] - counts[i] for i in range(t)) > remaining_total:
-            return False
-        for i in range(t):
-            # every remaining edge of class i fixes at most two unmet
-            # lower-bound degree units
-            need_i = sum(max(0, bounds[i][0] - degrees[i][v]) for v in range(n))
-            if need_i > 2 * (sizes[i] - counts[i]):
-                return False
-        for v in range(n):
-            rem_v = incident_after[idx - 1][v] if idx > 0 else lam * (n - 1)
-            need = sum(max(0, bounds[i][0] - degrees[i][v]) for i in range(t))
-            if need > rem_v:
-                return False
-        return True
-
-    def solve(idx: int) -> bool:
-        if idx == len(pairs):
-            return all(counts[i] == sizes[i] for i in range(t)) and all(
-                bounds[i][0] <= degrees[i][v] <= bounds[i][1]
-                for i in range(t)
-                for v in range(n)
-            )
-        u, v = pairs[idx]
-        for dist in distributions(idx):
-            for i, xcount in enumerate(dist):
-                counts[i] += xcount
-                degrees[i][u] += xcount
-                degrees[i][v] += xcount
-            if feasible(idx + 1):
-                assignment.append(dist)
-                if solve(idx + 1):
-                    return True
-                assignment.pop()
-            for i, xcount in enumerate(dist):
-                counts[i] -= xcount
-                degrees[i][u] -= xcount
-                degrees[i][v] -= xcount
-        return False
-
-    if not solve(0):
-        raise InternalInconsistencyError(
-            "no almost-regular packing found although the size bound holds"
-        )
-
-    classes = [Multigraph(n) for _ in range(t)]
-    for pair, dist in zip(pairs, assignment):
-        for i, xcount in enumerate(dist):
-            if xcount:
-                classes[i].add_edge(*pair, xcount)
-    return Decomposition(complete_multigraph(n, lam), tuple(classes))
+    perm = list(range(n))
+    if seed:
+        rng = random.Random(seed)
+        rng.shuffle(perm)
+        rng.shuffle(mates)
+    return [
+        Multigraph(n, {(perm[v], perm[w]): 1 for v, w in enumerate(mate) if v < w})
+        for mate in mates
+    ]
 
 
 def _proper_padding(
     g: Decomposition, params: EnclosureParams, seed: int = 0
 ) -> tuple[Decomposition, ExtensionTrace]:
-    """Glue a near-equal almost-regular decomposition of the spare pool onto
-    g, one pool class per color; g has passed battery T15.  The class-count
-    bound (T5) forces every pool class to be a matching, so the union of an
-    (r-1)-admissible class and a matching stays r-admissible, and every
-    class picks up at least p edges."""
+    """Glue one matching of `_near_equal_matchings` onto each class of g;
+    g has passed battery T15, whose class-count bound (T5) is what the
+    builder needs.  The union of an (r-1)-admissible class and a matching
+    stays r-admissible, and the near-equal sizes give every class at least
+    p edges."""
     n, k, mu, lam, r = params.n, params.k, params.mu, params.lam, params.r
-    spare_total = (mu - lam) * n * (n - 1) // 2
-    q, rem = divmod(spare_total, k)
-    sizes = [q + 1 if i < rem else q for i in range(k)]
-    if seed:
-        random.Random(seed ^ 0x5EED).shuffle(sizes)
-    pool_decomp = bryant_decompose(n, mu - lam, sizes, seed)
+    pool_classes = _near_equal_matchings(n, mu - lam, k, seed)
     trace = ExtensionTrace()
     classes = []
-    for i, (own, extra) in enumerate(zip(g.classes, pool_decomp.classes)):
+    for i, (own, extra) in enumerate(zip(g.classes, pool_classes)):
         if any(extra.degree(v) > 1 for v in range(n)):
             raise InternalInconsistencyError(
                 f"pool class {i} is not a matching although k >= (mu-lambda)n"
             )
         merged = own.copy()
-        for (a, b), mult in sorted(extra.edges.items()):
-            merged.add_edge(a, b, mult)
-            for _ in range(mult):
-                trace.record("pad", (a, b), i)
+        for a, b in sorted(extra.edges):
+            merged.add_edge(a, b)
+            trace.record("pad", (a, b), i)
         classes.append(merged)
         _assert_class_admissible(merged, r, i, f"gluing pool class {i}")
         if merged.edge_count() < params.p:

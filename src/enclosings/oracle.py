@@ -1,7 +1,8 @@
 """Brute-force ground truth, deliberately independent of the constructive
 pipeline: an exhaustive enclosure search, a naive transcription of the
-admissibility definition, an exhaustive decomposition enumerator, and a
-seeded generator of admissible instances.
+admissibility definition, an exhaustive decomposition enumerator, a
+backtracking packer of almost-regular classes, and a seeded generator of
+admissible instances.
 
 Only the multigraph substrate is shared with the main modules; the
 admissibility logic here is written from scratch so that it can serve as an
@@ -17,7 +18,12 @@ from typing import Callable, Iterator
 
 from .conditions import EnclosureParams
 from .decomp import Decomposition, Enclosing, admissibility_violation
-from .errors import BudgetExhaustedError, CapExceededError
+from .errors import (
+    BudgetExhaustedError,
+    CapExceededError,
+    InternalInconsistencyError,
+    PreconditionError,
+)
 from .mgraph import Multigraph, complete_multigraph
 
 DEFAULT_SLOT_CAP = 40
@@ -291,6 +297,122 @@ def enumerate_decompositions(
                     classes[i].remove_edge(u, v, c)
 
     yield from rec(0, [Multigraph(n) for _ in range(k)])
+
+
+def almost_regular_degree_bounds(size: int, n: int) -> tuple[int, int]:
+    """Vertex degrees of an almost-regular class with `size` edges on n
+    vertices are forced into {lo, hi}."""
+    lo = (2 * size) // n
+    hi = -((-2 * size) // n)
+    return lo, hi
+
+
+def bryant_decompose(n: int, lam: int, sizes: list[int]) -> Decomposition:
+    """Pack edge-disjoint almost-regular classes of the given sizes into
+    lambda*K_n, by backtracking over per-pair copy assignments: the
+    reference for the packing lemma.
+
+    Feasible exactly when sum(sizes) <= lam * C(n, 2); leftover copies stay
+    unused.  Degree targets per class are forced (lo/hi from the size), and
+    the search prunes on them.
+    """
+    total = lam * n * (n - 1) // 2
+    if sum(sizes) > total:
+        raise PreconditionError(
+            f"sizes sum to {sum(sizes)} > {total} available edges"
+        )
+    t = len(sizes)
+    bounds = [almost_regular_degree_bounds(s, n) for s in sizes]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    counts = [0] * t
+    degrees = [[0] * n for _ in range(t)]
+    assignment: list[list[int]] = []  # per pair: copies per class
+
+    incident_after: list[list[int]] = []  # remaining copies at v strictly after pair idx
+    inc = [0] * n
+    for pair in reversed(pairs):
+        incident_after.insert(0, list(inc))
+        inc[pair[0]] += lam
+        inc[pair[1]] += lam
+
+    def distributions(idx: int) -> list[list[int]]:
+        u, v = pairs[idx]
+        room = []
+        for i in range(t):
+            cap = min(
+                lam,
+                sizes[i] - counts[i],
+                bounds[i][1] - degrees[i][u],
+                bounds[i][1] - degrees[i][v],
+            )
+            room.append(max(0, cap))
+        out: list[list[int]] = []
+
+        def rec(i: int, left: int, current: list[int]):
+            if i == t:
+                out.append(list(current))
+                return
+            for x in range(min(room[i], left), -1, -1):
+                current.append(x)
+                rec(i + 1, left - x, current)
+                current.pop()
+
+        rec(0, lam, [])
+        return out
+
+    def feasible(idx: int) -> bool:
+        remaining_total = lam * (len(pairs) - idx)
+        if sum(sizes[i] - counts[i] for i in range(t)) > remaining_total:
+            return False
+        for i in range(t):
+            # every remaining edge of class i fixes at most two unmet
+            # lower-bound degree units
+            need_i = sum(max(0, bounds[i][0] - degrees[i][v]) for v in range(n))
+            if need_i > 2 * (sizes[i] - counts[i]):
+                return False
+        for v in range(n):
+            rem_v = incident_after[idx - 1][v] if idx > 0 else lam * (n - 1)
+            need = sum(max(0, bounds[i][0] - degrees[i][v]) for i in range(t))
+            if need > rem_v:
+                return False
+        return True
+
+    def solve(idx: int) -> bool:
+        if idx == len(pairs):
+            return all(counts[i] == sizes[i] for i in range(t)) and all(
+                bounds[i][0] <= degrees[i][v] <= bounds[i][1]
+                for i in range(t)
+                for v in range(n)
+            )
+        u, v = pairs[idx]
+        for dist in distributions(idx):
+            for i, xcount in enumerate(dist):
+                counts[i] += xcount
+                degrees[i][u] += xcount
+                degrees[i][v] += xcount
+            if feasible(idx + 1):
+                assignment.append(dist)
+                if solve(idx + 1):
+                    return True
+                assignment.pop()
+            for i, xcount in enumerate(dist):
+                counts[i] -= xcount
+                degrees[i][u] -= xcount
+                degrees[i][v] -= xcount
+        return False
+
+    if not solve(0):
+        raise InternalInconsistencyError(
+            "no almost-regular packing found although the size bound holds"
+        )
+
+    classes = [Multigraph(n) for _ in range(t)]
+    for pair, dist in zip(pairs, assignment):
+        for i, xcount in enumerate(dist):
+            if xcount:
+                classes[i].add_edge(*pair, xcount)
+    return Decomposition(complete_multigraph(n, lam), tuple(classes))
 
 
 def random_admissible(

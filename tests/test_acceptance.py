@@ -31,7 +31,6 @@ from enclosings.errors import PreconditionError
 from enclosings.extend import (
     _extend_to_r_via_matching,
     _pad_to_p,
-    bryant_decompose,
     color_one_edge,
     color_one_edge_with_recolor,
     enclose_in_mu_kn,
@@ -40,6 +39,7 @@ from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
 from enclosings.oracle import (
     brute_force_admissible,
     brute_force_enclose,
+    bryant_decompose,
     enumerate_decompositions,
     random_admissible,
 )

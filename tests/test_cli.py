@@ -92,6 +92,19 @@ def test_check_rejects_non_list_classes(tmp_path, capsys, classes):
 
 
 @pytest.mark.parametrize(
+    "raw",
+    [b'\xff\xfe{"n": 3}', b"[" * 200_000],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_check_rejects_undecodable_instance(tmp_path, capsys, raw):
+    path = tmp_path / "instance.json"
+    path.write_bytes(raw)
+    code = cli.main(["check", str(path), "--m", "5", "--mu", "2", "--r", "2"])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("n", 3.9), ("lambda", True), ("k", "4"), ("pair", True)],
 )
@@ -392,6 +405,18 @@ def test_internal_error_exits_5_with_json(tmp_path, capsys, monkeypatch, error):
     assert report["error"] == (
         f"internal error: {error.__name__}: split 5 has no solution"
     )
+
+
+def test_enclose_self_verification_failure_is_internal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_enclosing", lambda *args: (False, ["x"]))
+    path = write_instance(tmp_path)
+    out = tmp_path / "x.json"
+    code = cli.main(["enclose", str(path), "--m", "5", "--mu", "2", "--r", "2",
+                     "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 5
+    assert report == {"status": "self-verification-failed", "problems": ["x"]}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclosings.conditions import check_a_prime, check_regime, make_params
 from enclosings.decomp import Decomposition, is_admissible
@@ -11,16 +15,16 @@ from enclosings.errors import (
 )
 from enclosings.extend import (
     _extend_to_r_via_matching,
+    _near_equal_matchings,
     _pad_to_p,
     _proper_padding,
-    bryant_decompose,
     color_one_edge,
     color_one_edge_with_recolor,
     enclose_in_mu_kn,
     replay_trace,
 )
 from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
-from enclosings.oracle import random_admissible
+from enclosings.oracle import bryant_decompose, random_admissible
 
 
 def build(n, lam, *edge_lists, k=None):
@@ -262,7 +266,7 @@ def test_bryant_random_feasible_instances(seed):
         take = rng.randint(0, left)
         sizes.append(take)
         left -= take
-    d = bryant_decompose(n, lam, sizes, seed=seed)
+    d = bryant_decompose(n, lam, sizes)
     assert d.class_sizes() == tuple(sizes)
     for cls in d.classes:
         degrees = [cls.degree(v) for v in range(n)]
@@ -270,6 +274,32 @@ def test_bryant_random_feasible_instances(seed):
 
 
 # ----------------------------------------------------------- proper padding
+
+
+@st.composite
+def matching_splits(draw):
+    n = draw(st.integers(min_value=2, max_value=30))
+    mult = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=mult * n, max_value=mult * n * (n - 1) // 2 + 3))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return n, mult, k, seed
+
+
+@given(matching_splits())
+@settings(max_examples=100, deadline=None)
+def test_near_equal_matchings_partition_mult_kn(case):
+    n, mult, k, seed = case
+    classes = _near_equal_matchings(n, mult, k, seed)
+    assert len(classes) == k
+    covered = Counter()
+    for cls in classes:
+        assert all(cls.degree(v) <= 1 for v in range(n))
+        covered.update(cls.edges)
+    assert covered == complete_multigraph(n, mult).edges
+    q, rem = divmod(mult * n * (n - 1) // 2, k)
+    assert sorted(cls.edge_count() for cls in classes) == [q] * (k - rem) + [q + 1] * rem
+    again = _near_equal_matchings(n, mult, k, seed)
+    assert [cls.edges for cls in again] == [cls.edges for cls in classes]
 
 
 def test_proper_padding_k8_instance():
@@ -305,6 +335,17 @@ def test_enclose_in_mu_kn_c_path():
     assert check_a_prime(full, params).ok
     replayed = replay_trace(g, params, trace)
     assert replayed == full
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_enclose_in_mu_kn_t15_path(seed):
+    g = random_admissible(8, 1, 10, r=2, seed=3)
+    params = make_params(n=8, m=16, lam=1, mu=2, r=3, k=10)
+    full, trace = enclose_in_mu_kn(g, params, "T15", seed=seed)
+    assert check_a_prime(full, params).ok
+    assert replay_trace(g, params, trace) == full
+    again, trace_again = enclose_in_mu_kn(g, params, "T15", seed=seed)
+    assert again == full and trace_again.actions == trace.actions
 
 
 def _triangle_class(k):

@@ -27,8 +27,6 @@ from .conditions import (
 )
 from .extend import (
     ExtensionTrace,
-    color_one_edge,
-    color_one_edge_with_recolor,
     enclose_in_mu_kn,
     replay_trace,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "pick_regime",
     "theorem15_constant",
     "ExtensionTrace",
-    "color_one_edge",
-    "color_one_edge_with_recolor",
     "enclose_in_mu_kn",
     "replay_trace",
     "DetachmentWitness",

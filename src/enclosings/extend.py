@@ -5,20 +5,22 @@ detach.
 `enclose_in_mu_kn` is the one entry: it runs the regime's battery once and
 then takes one of three private routes, one per regime of
 `conditions.pick_regime`:
-  B   (m >= 2n-1): pad every small class up to p edges, then color the
-          remaining spare edges one at a time; a greedy color always exists.
+  B   (m >= 2n-1): pad every small class up to p edges; a greedy color
+          always exists for each remaining spare edge.
   C   (m = 2n-2, so p = r): top every class up to r edges through a
           bipartite matching between class slots and spare edges (special
-          slots keep a class from ending as r parallel edges), then color
-          one edge at a time, occasionally recoloring a non-protected edge
-          out of the way.
+          slots keep a class from ending as r parallel edges); a blocked
+          spare edge is unblocked by recoloring one non-protected edge.
   T15 (r >= 3): split the whole spare pool into k matchings of near-equal
           size, built directly: the round-robin 1-factors of each copy of
           K_n, balanced by swapping colors along alternating paths.  T5
           (k >= (mu-lambda)n) leaves room for every factor, and gluing a
           matching onto an (r-1)-admissible class keeps it r-admissible.
 
-No route searches: B is greedy, C is one bipartite matching, and T15 is a
+All routes work on one mutable state, a list of classes, the spare pool and
+a trace, and end in one coloring loop, `_color_rest`, that colors whatever
+the route left in the pool one edge at a time (nothing, for T15).  No route
+searches: B is greedy, C is one bipartite matching, and T15 is a
 construction.
 
 Every single mutation re-checks admissibility of the touched classes and
@@ -240,104 +242,72 @@ def _extend_to_r_via_matching(
     return Decomposition(base, tuple(classes), pool), trace
 
 
-def _pick_uncolored(gp: Decomposition) -> tuple[int, int]:
-    if gp.is_complete():
-        raise PreconditionError("no uncolored edge left")
-    return min(gp.uncolored.edges)
-
-
-def _try_direct_color(
-    gp: Decomposition, edge: tuple[int, int], r: int
-) -> int | None:
-    for i, cls in enumerate(gp.classes):
-        candidate = cls.copy()
-        candidate.add_edge(*edge)
-        if class_admissibility_violation(candidate, r, i) is None:
-            return i
-    return None
-
-
-def _apply_color(
-    gp: Decomposition, edge: tuple[int, int], cls_index: int
-) -> Decomposition:
-    classes = list(gp.classes)
-    updated = classes[cls_index].copy()
-    updated.add_edge(*edge)
-    classes[cls_index] = updated
-    uncolored = gp.uncolored.copy()
-    uncolored.remove_edge(*edge)
-    return Decomposition(gp.base, tuple(classes), uncolored)
-
-
-def color_one_edge(
-    gp: Decomposition, params: EnclosureParams
-) -> tuple[Decomposition, tuple[tuple[int, int], int]]:
-    """Color the smallest uncolored edge with the first color that keeps the
-    decomposition admissible.  In the m >= 2n-1 regime some color always
-    works: otherwise both endpoints would carry too much degree across the
-    k classes."""
-    if params.m < 2 * params.n - 1:
-        raise PreconditionError(f"greedy coloring needs m >= 2n-1, got m={params.m}")
-    if params.r * params.k != params.mu * (params.m - 1):
-        raise PreconditionError("greedy coloring needs r*k = mu*(m-1)")
-    edge = _pick_uncolored(gp)
-    chosen = _try_direct_color(gp, edge, params.r)
-    if chosen is None:
-        raise InternalInconsistencyError(
-            f"no admissible color for edge {edge}; this cannot happen when "
-            "r*k = mu*(m-1) and m >= 2n-1"
-        )
-    return _apply_color(gp, edge, chosen), (edge, chosen)
-
-
-def color_one_edge_with_recolor(
-    gp: Decomposition,
-    g_protected: Decomposition,
+def _color_rest(
+    classes: list[Multigraph],
+    pool: Multigraph,
+    g: Decomposition,
     params: EnclosureParams,
-) -> tuple[Decomposition, list[TraceAction]]:
-    """Color one more edge in the m = 2n-2 regime.
+    trace: ExtensionTrace,
+) -> None:
+    """Color the spare edges left in `pool`, in place, smallest pair first:
+    each takes the first class that stays admissible with it.
 
-    Direct coloring can block: then exactly one class j holds r-1 parallel
-    copies of the blocked pair {x,y} and every other class is saturated
-    around x and y.  Class j has another component with a low-degree vertex
-    u; an xu-edge can take color j directly (if uncolored), or a spare
-    xu-edge is recolored from its class c to j and the blocked edge takes c.
-    Protected edges are never recolored: recoloring only moves a copy where
-    the class multiplicity exceeds the protected multiplicity.
+    For m >= 2n-1 some class always does: otherwise both endpoints would
+    carry too much degree across the k classes.  For m = 2n-2 an edge {x,y}
+    can block: then exactly one class j holds r-1 parallel xy-copies and
+    every other class is saturated around x and y.  Class j has another
+    component with a low-degree vertex u; an xu-edge can take color j
+    directly (if uncolored), or a spare xu-edge is recolored from its class
+    c to j and the blocked edge takes c.  Edges of g are never recolored:
+    a copy only moves where the class multiplicity exceeds g's.
     """
     n, r, mu, lam = params.n, params.r, params.mu, params.lam
-    if params.m != 2 * n - 2:
-        raise PreconditionError(f"recoloring step needs m = 2n-2, got m={params.m}")
-    if params.r * params.k != mu * (params.m - 1):
-        raise PreconditionError("recoloring step needs r*k = mu*(m-1)")
-    if not (2 * (r - 1) >= mu > lam):
+    recolor = params.m == 2 * n - 2
+    if recolor and pool.edges and not (2 * (r - 1) >= mu > lam):
         raise PreconditionError("recoloring step needs 2(r-1) >= mu > lambda")
+    while pool.edges:
+        edge = min(pool.edges)
+        for i, cls in enumerate(classes):
+            cls.add_edge(*edge)
+            if class_admissibility_violation(cls, r, i) is None:
+                pool.remove_edge(*edge)
+                trace.record("color", edge, i)
+                break
+            cls.remove_edge(*edge)
+        else:
+            if not recolor:
+                raise InternalInconsistencyError(
+                    f"no admissible color for edge {edge}; this cannot happen "
+                    "when r*k = mu*(m-1) and m >= 2n-1"
+                )
+            _unblock(edge, classes, pool, g, r, trace)
 
-    edge = _pick_uncolored(gp)
+
+def _unblock(
+    edge: tuple[int, int],
+    classes: list[Multigraph],
+    pool: Multigraph,
+    g: Decomposition,
+    r: int,
+    trace: ExtensionTrace,
+) -> None:
+    """Unblock `edge` in the m = 2n-2 regime, as `_color_rest` describes."""
     x, y = edge
-    chosen = _try_direct_color(gp, edge, r)
-    if chosen is not None:
-        return _apply_color(gp, edge, chosen), [TraceAction("color", edge, chosen)]
-
-    # blocked: locate the class holding r-1 parallel xy-edges and nothing
-    # else at x or y
-    j = None
-    for i, cls in enumerate(gp.classes):
-        if (
-            cls.multiplicity(x, y) == r - 1
-            and cls.degree(x) == r - 1
-            and cls.degree(y) == r - 1
-        ):
-            j = i
-            break
+    j = next(
+        (
+            i
+            for i, cls in enumerate(classes)
+            if cls.multiplicity(x, y) == cls.degree(x) == cls.degree(y) == r - 1
+        ),
+        None,
+    )
     if j is None:
         raise InternalInconsistencyError(
             f"edge {edge} blocked but no class holds exactly {r - 1} parallel copies"
         )
-    cls_j = gp.classes[j]
-    components = cls_j.components()
+    cls_j = classes[j]
     u = None
-    for comp in components:
+    for comp in cls_j.components():
         if x in comp:
             continue
         degrees = {v: cls_j.degree(v) for v in comp}
@@ -355,43 +325,33 @@ def color_one_edge_with_recolor(
         )
 
     f = (min(x, u), max(x, u))
-    actions: list[TraceAction] = []
-    if gp.uncolored.multiplicity(*f) > 0:
-        result = _apply_color(gp, f, j)
-        actions.append(TraceAction("color", f, j))
-        _assert_class_admissible(result.classes[j], r, j, f"coloring {f} with {j}")
-        return result, actions
+    if pool.multiplicity(*f) > 0:
+        pool.remove_edge(*f)
+        cls_j.add_edge(*f)
+        trace.record("color", f, j)
+        _assert_class_admissible(cls_j, r, j, f"coloring {f} with {j}")
+        return
 
-    c = None
-    for i, cls in enumerate(gp.classes):
-        if i == j:
-            continue
-        if cls.multiplicity(*f) > g_protected.classes[i].multiplicity(*f):
-            c = i
-            break
+    c = next(
+        (
+            i
+            for i, cls in enumerate(classes)
+            if i != j and cls.multiplicity(*f) > g.classes[i].multiplicity(*f)
+        ),
+        None,
+    )
     if c is None:
-        raise InternalInconsistencyError(
-            f"no class holds a spare {f} copy to recolor"
-        )
+        raise InternalInconsistencyError(f"no class holds a spare {f} copy to recolor")
+    classes[c].remove_edge(*f)
+    cls_j.add_edge(*f)
+    trace.record("recolor", f, j, from_cls=c)
+    _assert_class_admissible(cls_j, r, j, f"recoloring {f} into {j}")
+    _assert_class_admissible(classes[c], r, c, f"recoloring {f} out of {c}")
 
-    classes = list(gp.classes)
-    donor = classes[c].copy()
-    donor.remove_edge(*f)
-    receiver = classes[j].copy()
-    receiver.add_edge(*f)
-    classes[c], classes[j] = donor, receiver
-    actions.append(TraceAction("recolor", f, j, from_cls=c))
-    _assert_class_admissible(receiver, r, j, f"recoloring {f} into {j}")
-    _assert_class_admissible(donor, r, c, f"recoloring {f} out of {c}")
-
-    final_c = classes[c].copy()
-    final_c.add_edge(*edge)
-    classes[c] = final_c
-    uncolored = gp.uncolored.copy()
-    uncolored.remove_edge(*edge)
-    actions.append(TraceAction("color", edge, c))
-    _assert_class_admissible(final_c, r, c, f"coloring {edge} with freed class {c}")
-    return Decomposition(gp.base, tuple(classes), uncolored), actions
+    pool.remove_edge(*edge)
+    classes[c].add_edge(*edge)
+    trace.record("color", edge, c)
+    _assert_class_admissible(classes[c], r, c, f"coloring {edge} with freed class {c}")
 
 
 def _near_equal_matchings(n: int, mult: int, k: int, seed: int = 0) -> list[Multigraph]:
@@ -494,17 +454,14 @@ def enclose_in_mu_kn(
     if not report.ok:
         raise ConditionsFailedError(report)
     if mode == "B":
-        result, trace = _pad_to_p(g, params, seed)
-        while not result.is_complete():
-            result, (edge, cls) = color_one_edge(result, params)
-            trace.record("color", edge, cls)
+        stage, trace = _pad_to_p(g, params, seed)
     elif mode == "C":
-        result, trace = _extend_to_r_via_matching(g, params, seed)
-        while not result.is_complete():
-            result, actions = color_one_edge_with_recolor(result, g, params)
-            trace.actions.extend(actions)
+        stage, trace = _extend_to_r_via_matching(g, params, seed)
     else:
-        result, trace = _proper_padding(g, params, seed)
+        stage, trace = _proper_padding(g, params, seed)
+    classes, pool = list(stage.classes), stage.uncolored
+    _color_rest(classes, pool, g, params, trace)
+    result = Decomposition(stage.base, tuple(classes), pool)
 
     result.validate_partition()
     a_report = check_a_prime(result, params)

@@ -191,6 +191,3 @@ def complete_multigraph(n: int, lam: int) -> Multigraph:
             g.edges[(u, v)] = lam
     return g
 
-
-def empty_graph(n: int) -> Multigraph:
-    return Multigraph(n)

@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .conditions import EnclosureParams
-from .decomp import Decomposition, Enclosing, admissibility_violation
+from .decomp import Decomposition, Enclosing, class_admissibility_violation
 from .errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -26,7 +26,10 @@ from .errors import (
 )
 from .mgraph import Multigraph, complete_multigraph
 
-DEFAULT_SLOT_CAP = 40
+SLOT_CAP = 40  # colored edge slots brute_force_enclose will search
+EDGE_CAP = 12  # edges enumerate_decompositions will split
+MAX_RESTARTS = 50  # random assignments random_admissible tries
+REPAIRS_PER_EDGE = 200  # its one-edge moves per assignment, per edge
 
 
 @dataclass
@@ -128,7 +131,6 @@ def brute_force_enclose(
     g: Decomposition,
     params: EnclosureParams,
     budget: int = 50_000_000,
-    slot_cap: int = DEFAULT_SLOT_CAP,
 ) -> EnclosureSearchResult:
     """Exhaustively assign colors to every edge of mu*K_m, consistent with g
     on the inner pairs, and report the first valid 2-edge-connected
@@ -137,13 +139,14 @@ def brute_force_enclose(
     "none" is only reported after the full space is exhausted; running out
     of budget is a distinct outcome.  Pruning: per-class degree caps, degree
     completion infeasibility at each vertex, frozen (saturated) components
-    that cannot span, and 2-edge-connectivity of saturated classes.
+    that cannot span, and 2-edge-connectivity of saturated classes.  More
+    than SLOT_CAP edge slots raise CapExceededError.
     """
     n, m, mu, lam, r, k = params.n, params.m, params.mu, params.lam, params.r, params.k
     slots = mu * m * (m - 1) // 2
-    if slots > slot_cap:
+    if slots > SLOT_CAP:
         raise CapExceededError(
-            f"{slots} colored edge slots exceed the exhaustive cap {slot_cap}"
+            f"{slots} colored edge slots exceed the exhaustive cap {SLOT_CAP}"
         )
     if g.k != k:
         raise ValueError(f"decomposition has {g.k} classes, params.k = {k}")
@@ -249,22 +252,18 @@ def brute_force_enclose(
 
 
 def enumerate_decompositions(
-    n: int,
-    lam: int,
-    k: int,
-    filter: Callable[[Decomposition], bool] | None = None,
-    dedup: bool = False,
-    edge_cap: int = 12,
+    n: int, lam: int, k: int, dedup: bool = False
 ) -> Iterator[Decomposition]:
     """Every way to split the lam*K_n edges into k ordered classes, as
     per-pair count vectors (copies of the same pair are interchangeable, so
     for lam = 1 this is exactly the k^E raw assignments).  With dedup=True,
     decompositions equal up to a color permutation are emitted once, keyed
-    by sorting classes by (size, edge list)."""
+    by sorting classes by (size, edge list).  More than EDGE_CAP edges raise
+    CapExceededError."""
     total_edges = lam * n * (n - 1) // 2
-    if total_edges > edge_cap:
+    if total_edges > EDGE_CAP:
         raise CapExceededError(
-            f"{total_edges} edges exceed the enumeration cap {edge_cap}"
+            f"{total_edges} edges exceed the enumeration cap {EDGE_CAP}"
         )
     base = complete_multigraph(n, lam)
     pairs = sorted(base.edges)
@@ -283,8 +282,7 @@ def enumerate_decompositions(
                 if key in seen:
                     return
                 seen.add(key)
-            if filter is None or filter(d):
-                yield d
+            yield d
             return
         u, v = pairs[idx]
         for dist in _pair_distributions(lam, [0] * k, [lam] * k):
@@ -415,41 +413,39 @@ def bryant_decompose(n: int, lam: int, sizes: list[int]) -> Decomposition:
     return Decomposition(complete_multigraph(n, lam), tuple(classes))
 
 
-def random_admissible(
-    n: int,
-    lam: int,
-    k: int,
-    r: int,
-    seed: int = 0,
-    max_repairs: int | None = None,
-    max_restarts: int = 50,
-) -> Decomposition:
+def random_admissible(n: int, lam: int, k: int, r: int, seed: int = 0) -> Decomposition:
     """A seeded random decomposition of lam*K_n into k classes that passes
     the admissibility predicate, produced by random assignment plus a repair
-    loop that moves an edge out of the first offending class."""
+    loop that moves an edge out of the first offending class.  A move
+    changes two classes, so only those two are re-checked."""
     rng = random.Random(seed)
     base = complete_multigraph(n, lam)
     copies = [pair for pair, mult in sorted(base.edges.items()) for _ in range(mult)]
-    if max_repairs is None:
-        max_repairs = 200 * max(1, len(copies))
 
-    for _ in range(max_restarts):
+    def build(assignment: list[int]) -> list[Multigraph]:
+        classes = [Multigraph(n) for _ in range(k)]
+        for pair, cls in zip(copies, assignment):
+            classes[cls].add_edge(*pair)
+        return classes
+
+    def offends(classes: list[Multigraph], i: int) -> bool:
+        return class_admissibility_violation(classes[i], r, i) is not None
+
+    for _ in range(MAX_RESTARTS):
         assignment = [rng.randrange(k) for _ in copies]
-        for _ in range(max_repairs):
-            classes = [Multigraph(n) for _ in range(k)]
-            for pair, cls in zip(copies, assignment):
-                classes[cls].add_edge(*pair)
-            d = Decomposition(base, tuple(classes))
-            violation = admissibility_violation(d, r)
-            if violation is None:
-                return d
-            offending = [
-                idx
-                for idx, cls in enumerate(assignment)
-                if cls == violation.class_index
-            ]
+        classes = build(assignment)
+        bad = [offends(classes, i) for i in range(k)]
+        for _ in range(REPAIRS_PER_EDGE * max(1, len(copies))):
+            if not any(bad):
+                # rebuilt so each class lists its edges in pair order
+                return Decomposition(base, tuple(build(assignment)))
+            source = bad.index(True)
+            offending = [idx for idx, cls in enumerate(assignment) if cls == source]
             move = rng.choice(offending)
-            assignment[move] = rng.randrange(k)
+            target = assignment[move] = rng.randrange(k)
+            classes[source].remove_edge(*copies[move])
+            classes[target].add_edge(*copies[move])
+            bad[source], bad[target] = offends(classes, source), offends(classes, target)
     raise BudgetExhaustedError(
         f"could not repair a random decomposition into an {r}-admissible one"
     )

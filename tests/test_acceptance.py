@@ -28,14 +28,8 @@ from enclosings.detach import (
     verify_detachment,
 )
 from enclosings.errors import PreconditionError
-from enclosings.extend import (
-    _extend_to_r_via_matching,
-    _pad_to_p,
-    color_one_edge,
-    color_one_edge_with_recolor,
-    enclose_in_mu_kn,
-)
-from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
+from enclosings.extend import enclose_in_mu_kn, spare_pool
+from enclosings.mgraph import Multigraph, complete_multigraph
 from enclosings.oracle import (
     brute_force_admissible,
     brute_force_enclose,
@@ -246,6 +240,27 @@ def _assert_superdecomposition(protected: Decomposition, state) -> None:
             assert cls.multiplicity(*pair) >= mult, "protected edge lost"
 
 
+def _replay_checked(g, params, mode, seed) -> int:
+    """Run stage 1, then replay its trace from g one action at a time, with
+    the moves of `replay_trace`, checking admissibility and the protected
+    edges after every action; returns the number of actions."""
+    full, trace = enclose_in_mu_kn(g, params, mode, seed=seed)
+    classes, pool = [cls.copy() for cls in g.classes], spare_pool(params)
+    state = Decomposition(full.base, tuple(classes), pool)
+    for action in trace.actions:
+        u, v = action.edge
+        if action.kind == "recolor":
+            classes[action.from_cls].remove_edge(u, v)
+        else:
+            assert action.kind in ("pad", "color", "matching")
+            pool.remove_edge(u, v)
+        classes[action.cls].add_edge(u, v)
+        assert is_admissible(state, params.r)
+        _assert_superdecomposition(g, state)
+    assert state == full
+    return len(trace.actions)
+
+
 def test_criterion_7_step_invariance_suite():
     started = time.monotonic()
     actions_checked = 0
@@ -268,14 +283,7 @@ def test_criterion_7_step_invariance_suite():
             g = random_admissible(n, lam, k, r, seed=seed)
             if not check_b(g, params).ok:
                 continue
-            gp, _ = _pad_to_p(g, params, seed=seed)
-            assert is_admissible(gp, r)
-            _assert_superdecomposition(g, gp)
-            while not gp.is_complete():
-                gp, _ = color_one_edge(gp, params)
-                actions_checked += 1
-                assert is_admissible(gp, r)
-                _assert_superdecomposition(g, gp)
+            actions_checked += _replay_checked(g, params, "B", seed)
             runs += 1
         for n, m, lam, mu, r, k in c_regimes:
             seed += 1
@@ -283,14 +291,7 @@ def test_criterion_7_step_invariance_suite():
             g = random_admissible(n, lam, k, r, seed=seed)
             if not check_c(g, params).ok:
                 continue
-            gp, trace = _extend_to_r_via_matching(g, params, seed=seed)
-            assert is_admissible(gp, r)
-            _assert_superdecomposition(g, gp)
-            while not gp.is_complete():
-                gp, actions = color_one_edge_with_recolor(gp, g, params)
-                actions_checked += len(actions)
-                assert is_admissible(gp, r)
-                _assert_superdecomposition(g, gp)
+            actions_checked += _replay_checked(g, params, "C", seed)
             runs += 1
     elapsed = _report("7 step-invariance", started,
                       f"{runs} runs, {actions_checked} stepped actions, 0 violations")

@@ -7,7 +7,6 @@ import pytest
 
 from enclosings import cli, conditions
 from enclosings.cli import load_instance, serialize_decomposition, write_json
-from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
 from enclosings.decomp import Decomposition
 from enclosings.errors import InternalInconsistencyError
 

@@ -16,7 +16,7 @@ from enclosings.conditions import (
 )
 from enclosings.decomp import Decomposition
 from enclosings.errors import PreconditionError
-from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
+from enclosings.mgraph import Multigraph, complete_multigraph
 
 
 def build(base, *edge_lists, k=None):
@@ -31,7 +31,7 @@ def build(base, *edge_lists, k=None):
         classes.append(g)
     if k is not None:
         while len(classes) < k:
-            classes.append(empty_graph(base.vertex_count))
+            classes.append(Multigraph(base.vertex_count))
     d = Decomposition(base, tuple(classes))
     d.validate_partition()
     return d

@@ -15,7 +15,7 @@ from enclosings.decomp import (
     verify_enclosing,
 )
 from enclosings.conditions import make_params
-from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
+from enclosings.mgraph import Multigraph, complete_multigraph
 
 
 def classes_from(n, *edge_lists):
@@ -32,7 +32,7 @@ def k3_decomposition(*edge_lists, k=None):
     classes = list(classes_from(3, *edge_lists))
     if k is not None:
         while len(classes) < k:
-            classes.append(empty_graph(3))
+            classes.append(Multigraph(3))
     return Decomposition(complete_multigraph(3, 1), tuple(classes))
 
 

@@ -14,16 +14,16 @@ from enclosings.errors import (
     PreconditionError,
 )
 from enclosings.extend import (
+    ExtensionTrace,
+    _color_rest,
     _extend_to_r_via_matching,
     _near_equal_matchings,
     _pad_to_p,
     _proper_padding,
-    color_one_edge,
-    color_one_edge_with_recolor,
     enclose_in_mu_kn,
     replay_trace,
 )
-from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
+from enclosings.mgraph import Multigraph, complete_multigraph
 from enclosings.oracle import bryant_decompose, random_admissible
 
 
@@ -37,7 +37,7 @@ def build(n, lam, *edge_lists, k=None):
         classes.append(g)
     if k is not None:
         while len(classes) < k:
-            classes.append(empty_graph(n))
+            classes.append(Multigraph(n))
     d = Decomposition(base, tuple(classes))
     d.validate_partition()
     return d
@@ -111,27 +111,29 @@ def test_matching_extension_r3_example():
 # ------------------------------------------------------------ color stepping
 
 
-def test_color_one_edge_loop_completes_decomposition():
+def color_rest(gp, g, params):
+    """Run `_color_rest` on a copy of gp's state; returns the result and the
+    actions it recorded."""
+    classes, pool = [cls.copy() for cls in gp.classes], gp.uncolored.copy()
+    trace = ExtensionTrace()
+    _color_rest(classes, pool, g, params, trace)
+    return Decomposition(gp.base, tuple(classes), pool), trace.actions
+
+
+def test_color_rest_completes_b_decomposition():
     g = k3_singletons(4)
     params = make_params(n=3, m=5, lam=1, mu=2, r=2, k=4)
     gp, _ = _pad_to_p(g, params)
-    steps = 0
-    while not gp.is_complete():
-        gp, (edge, cls) = color_one_edge(gp, params)
-        steps += 1
-        assert is_admissible(gp, 2)
-    assert steps == 2  # pool of 3 spare edges, one consumed by padding
-    gp.validate_partition()
-
-
-def test_color_one_edge_wrong_regime():
-    g = k3_singletons(3)
-    params = make_params(n=3, m=4, lam=1, mu=2, r=2, k=3)
-    gp = Decomposition(
-        complete_multigraph(3, 2), g.classes, complete_multigraph(3, 1)
-    )
-    with pytest.raises(PreconditionError):
-        color_one_edge(gp, params)
+    result, actions = color_rest(gp, g, params)
+    # pool of 3 spare edges, one consumed by padding
+    assert [a.kind for a in actions] == ["color", "color"]
+    classes = [cls.copy() for cls in gp.classes]
+    for action in actions:
+        classes[action.cls].add_edge(*action.edge)
+        assert is_admissible(Decomposition(gp.base, tuple(classes)), 2)
+    assert tuple(classes) == result.classes
+    assert result.is_complete()
+    result.validate_partition()
 
 
 def blocked_recolor_fixture():
@@ -173,7 +175,7 @@ def test_recolor_branch_is_taken_and_preserves_protected_edges():
     g_protected, gp = blocked_recolor_fixture()
     params = make_params(n=4, m=6, lam=1, mu=2, r=2, k=5)
     assert is_admissible(gp, 2)
-    result, actions = color_one_edge_with_recolor(gp, g_protected, params)
+    result, actions = color_rest(gp, g_protected, params)
     kinds = [a.kind for a in actions]
     assert "recolor" in kinds
     assert is_admissible(result, 2)
@@ -211,7 +213,7 @@ def test_recolor_direct_path_when_possible():
     uncolored = gp.uncolored.copy()
     uncolored.add_edge(*pair)
     strict = Decomposition(gp.base, tuple(classes), uncolored)
-    result, actions = color_one_edge_with_recolor(strict, g, params)
+    result, actions = color_rest(strict, g, params)
     assert [a.kind for a in actions] == ["color"]
     assert result.is_complete()
 
@@ -225,7 +227,7 @@ def test_recolor_requires_margin():
         complete_multigraph(3, 4), g.classes, complete_multigraph(3, 3)
     )
     with pytest.raises(PreconditionError, match="2\\(r-1\\)"):
-        color_one_edge_with_recolor(gp, g, params)
+        color_rest(gp, g, params)
 
 
 # ------------------------------------------------------------------- bryant

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
+from enclosings.mgraph import Multigraph, complete_multigraph
 
 
 def graph_from(n, pairs):
@@ -40,7 +40,7 @@ def test_degree_counts_loops_twice():
 
 
 def test_degree_isolated_and_k4():
-    assert empty_graph(3).degree(1) == 0
+    assert Multigraph(3).degree(1) == 0
     k4 = complete_multigraph(4, 1)
     assert all(k4.degree(v) == 3 for v in range(4))
 
@@ -65,7 +65,7 @@ def test_components():
     assert complete_multigraph(4, 1).components() == [(0, 1, 2, 3)]
     two_edges = graph_from(4, [(0, 1), (2, 3)])
     assert two_edges.components() == [(0, 1), (2, 3)]
-    assert empty_graph(3).components() == [(0,), (1,), (2,)]
+    assert Multigraph(3).components() == [(0,), (1,), (2,)]
 
 
 def test_bridges_path_and_cycle():

@@ -5,7 +5,7 @@ import pytest
 from enclosings.conditions import make_params
 from enclosings.decomp import Decomposition, is_admissible, verify_enclosing
 from enclosings.errors import CapExceededError
-from enclosings.mgraph import Multigraph, complete_multigraph, empty_graph
+from enclosings.mgraph import Multigraph, complete_multigraph
 from enclosings.oracle import (
     brute_force_admissible,
     brute_force_enclose,
@@ -22,7 +22,7 @@ def k3_singletons(k):
         g.add_edge(*pair)
         classes.append(g)
     while len(classes) < k:
-        classes.append(empty_graph(3))
+        classes.append(Multigraph(3))
     return Decomposition(base, tuple(classes))
 
 
@@ -71,7 +71,7 @@ def test_brute_force_cap():
     params = make_params(n=4, m=10, lam=1, mu=2, r=2, k=9)
     g = Decomposition(
         complete_multigraph(4, 1),
-        tuple([complete_multigraph(4, 1)] + [empty_graph(4)] * 8),
+        tuple([complete_multigraph(4, 1)] + [Multigraph(4)] * 8),
     )
     with pytest.raises(CapExceededError):
         brute_force_enclose(g, params)
@@ -117,9 +117,9 @@ def test_enumeration_dedup_golden_count():
 
 
 def test_enumeration_filter():
-    admissible_only = list(
-        enumerate_decompositions(3, 1, 3, filter=lambda d: is_admissible(d, 2), dedup=True)
-    )
+    admissible_only = [
+        d for d in enumerate_decompositions(3, 1, 3, dedup=True) if is_admissible(d, 2)
+    ]
     assert all(is_admissible(d, 2) for d in admissible_only)
     # the one-class triangle is excluded
     assert len(admissible_only) == 4

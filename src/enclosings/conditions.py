@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomp import Decomposition, is_admissible, s_count, s_uv_count
+from .decomp import Decomposition, is_admissible, s_count
 from .errors import InternalInconsistencyError, PreconditionError
 from .mgraph import complete_multigraph
 
@@ -172,14 +172,17 @@ def check_c(g: Decomposition, params: EnclosureParams) -> ConditionReport:
     adm = is_admissible(g, r)
     entries.append(("C2", adm, f"{r}-admissible: {adm}"))
     entries.append(_deficiency_entry(g, params, "C3"))
-    s0 = s_count(g, 0)
     pair_rhs = (params.mu - params.lam) * (Fraction(n * (n - 1), 2) - 1)
-    worst_pair, worst = None, -1
-    for u in range(n):
-        for v in range(u + 1, n):
-            value = s0 + sum(s_uv_count(g, i, u, v) for i in range(1, r))
-            if value > worst:
-                worst, worst_pair = value, (u, v)
+    # sum_i |S_i(u,v)| counts the classes of 1..r-1 edges, all on the pair
+    # (u, v); the worst pair is the smallest one with the largest count
+    on_pair: dict[tuple[int, int], int] = {}
+    for cls in g.classes:
+        if len(cls.edges) == 1 and 1 <= cls.edge_count() < r:
+            (pair,) = cls.edges
+            if pair[0] != pair[1]:
+                on_pair[pair] = on_pair.get(pair, 0) + 1
+    worst_pair = min(on_pair, key=lambda pair: (-on_pair[pair], pair), default=(0, 1))
+    worst = s_count(g, 0) + on_pair.get(worst_pair, 0)
     entries.append(
         ("C4", worst <= pair_rhs, f"pair {worst_pair} sum {worst} vs bound {pair_rhs}")
     )

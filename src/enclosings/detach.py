@@ -13,9 +13,10 @@ accepted split.
 In this exact regime the fairness requirements collapse to equalities: each
 split vertex takes degree exactly r per color and multiplicity exactly mu to
 every other vertex, which become row/column sums of a small assignment
-matrix per split.  Its columns are the vertices already outside the amalgam,
-and its capacities come from one vector per class, `to_amalgam`, of the
-amalgam edges still running to each of those vertices.
+matrix per split.  Each class is kept in one working multigraph, amalgam
+included, and a row moves amalgam edges onto the split vertex in place.
+The last vertex is what is left of the amalgam, so only the first m-n-1
+splits are searched.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .conditions import EnclosureParams, check_a_prime
 from .decomp import Decomposition
@@ -151,201 +153,142 @@ def is_good_triad(t: Triad) -> bool:
 class _SplitSearch:
     """Split the amalgam one vertex at a time.
 
-    State per color i: to_amalgam[i][v] = remaining amalgam-to-v edges for
-    every vertex v below the next split vertex (the original vertices, then
-    the split ones), loops[i] = remaining amalgam loops.  The split of
-    vertex y chooses a k x y matrix with row sums r and column sums mu, plus
-    per row a count of loops converted into y-to-amalgam edges; those counts
-    sum to mu times the number of vertices still in the amalgam.  A split is
-    accepted when every reduced class stays 2-edge-connected spanning.
+    Each class lives in one working multigraph on m vertices: the triad
+    class, with the amalgam at vertex n and each split vertex z appended at
+    n+1, n+2, ...  The split of z picks one row per class: a count vector
+    over the vertices below z, where row[v] amalgam-to-v edges become z-to-v
+    edges and row[n] amalgam loops become z-to-amalgam edges.  Rows sum to r;
+    column v sums to mu, and column n to mu times the number of vertices the
+    amalgam still stands for.  A row is a candidate when its class stays
+    2-edge-connected spanning.
 
-    `run` is one loop over the m - n splits; each split backtracks over its
-    rows only and then commits them.  An accepted split is never revisited:
-    a good state can always be completed, so a split with no solution is an
-    internal inconsistency.
+    `run` is one loop over the first m - n - 1 splits, each a backtracking
+    search over its rows that is then committed and never revisited: a good
+    state can always be completed, so a split with no solution is an internal
+    inconsistency.  What is left of the amalgam is then the last vertex: its
+    rows are forced, and the last split (or `is_good_triad`, when m = n + 1)
+    has already checked the classes they give.
     """
 
     def __init__(self, t: Triad, params: EnclosureParams, seed: int, budget: int):
         self.n = params.n
         self.m = params.m
-        self.k = params.k
         self.r = params.r
         self.mu = params.mu
         self.budget = budget
         self.stats = DetachStats()
         self.rng = random.Random(seed) if seed else None
-
-        x0 = self.n
-        classes = t.decomposition.classes
-        self.to_amalgam = [
-            [cls.multiplicity(x0, j) for j in range(self.n)] for cls in classes
-        ]
-        self.loops = [cls.loop_count(x0) for cls in classes]
-        # result classes live on m vertices and start as the restriction
-        self.result = [self._restricted(cls) for cls in classes]
-
-    def _restricted(self, cls: Multigraph) -> Multigraph:
-        out = Multigraph(self.m)
-        for (u, v), mult in cls.edges.items():
-            if u < self.n and v < self.n:
-                out.add_edge(u, v, mult)
-        return out
+        self.work = [Multigraph(self.m, cls.edges) for cls in t.decomposition.classes]
 
     def run(self) -> list[Multigraph]:
-        for y in range(self.n, self.m):
-            remaining_after = self.m - y - 1
-            chosen = self._split(y, remaining_after)
-            if chosen is None:
+        n, m = self.n, self.m
+        for z in range(n + 1, m):
+            rows = self._split(z)
+            if rows is None:
                 if self.stats.nodes >= self.budget:
                     raise BudgetExhaustedError(
                         f"detachment search exceeded {self.budget} nodes"
                     )
                 raise InternalInconsistencyError(
-                    f"split of vertex {y} has no solution; the good triad "
+                    f"split of vertex {z - 1} has no solution; the good triad "
                     "guarantee says one exists"
                 )
-            self._commit(y, chosen, remaining_after)
-        return self.result
+            for g, row in zip(self.work, rows):
+                self._move(g, z, row)
+        # the amalgam becomes the last vertex, split vertex z becomes z - 1
+        label = [*range(n), m - 1, *range(n, m - 1)]
+        out = []
+        for g in self.work:
+            h = Multigraph(m)
+            for (u, v), mult in g.edges.items():
+                h.add_edge(label[u], label[v], mult)
+            out.append(h)
+        return out
 
-    def _row_candidates(
-        self, i: int, y: int, remaining_after: int
-    ) -> list[tuple[tuple[int, ...], int]]:
-        """All ways class i can serve the split vertex: a per-column vector
-        plus a count of loops converted into amalgam edges, summing to r,
-        filtered so that the class's reduced graph stays 2-edge-connected
-        spanning.  Goodness is a per-class property, so filtering here means
-        the combination search below never needs a global goodness check."""
-        to_amalgam = self.to_amalgam[i]
-        caps = [min(count, self.mu) for count in to_amalgam]
-        b_cap = min(self.loops[i], self.mu * remaining_after, self.r)
+    def _move(self, g: Multigraph, z: int, row: list[int]) -> None:
+        """Move row[v] of the amalgam's edges to v (loops, for v = n) onto z."""
+        for v, x in enumerate(row):
+            if x:
+                g.remove_edge(self.n, v, x)
+                g.add_edge(z, v, x)
 
-        # reduced class graph before the split vertex picks its edges:
-        # split vertices keep their edges, the amalgam keeps the rest
-        amalgam = y + 1
-        base = Multigraph(amalgam + 1)
-        for (u, v), mult in self.result[i].edges.items():
-            base.add_edge(u, v, mult)
-        for v, count in enumerate(to_amalgam):
-            if count:
-                base.add_edge(amalgam, v, count)
-        if self.loops[i]:
-            base.add_edge(amalgam, amalgam, self.loops[i])
-
-        out: list[tuple[tuple[int, ...], int]] = []
-        vec = [0] * y
-
-        def rec(c: int, left: int):
-            if c == y:
-                b = left
-                if b > b_cap:
-                    return
-                if remaining_after == 0 and b != 0:
-                    return
-                candidate = base.copy()
-                for v, x in enumerate(vec):
-                    if x:
-                        candidate.remove_edge(amalgam, v, x)
-                        candidate.add_edge(y, v, x)
-                if b:
-                    candidate.remove_edge(amalgam, amalgam, b)
-                    candidate.add_edge(y, amalgam, b)
-                if remaining_after == 0:
-                    candidate = candidate.induced(amalgam)
-                if candidate.is_two_edge_connected_spanning():
-                    out.append((tuple(vec), b))
-                return
-            top = min(caps[c], left)
-            for x in range(top, -1, -1):
-                vec[c] = x
-                rec(c + 1, left - x)
-            vec[c] = 0
-
-        rec(0, self.r)
+    def _rows(self, g: Multigraph, z: int, caps: list[int]) -> list[list[int]]:
+        """Every row within `caps` that keeps class g 2-edge-connected
+        spanning, in descending order over the columns with the amalgam
+        last.  A row is a multiset of r amalgam neighbours, and
+        combinations_with_replacement yields those multisets in exactly that
+        order.  Goodness is a per-class property, so filtering here means the
+        row search never needs a global goodness check."""
+        n = self.n
+        neighbours = [v for v in range(z) if caps[v] and v != n]
+        if caps[n]:
+            neighbours.append(n)
+        out = []
+        for combo in combinations_with_replacement(neighbours, self.r):
+            row = [0] * z
+            for v in combo:
+                row[v] += 1
+            if any(x > cap for x, cap in zip(row, caps)):
+                continue
+            candidate = g.induced(z + 1)
+            self._move(candidate, z, row)
+            if candidate.is_two_edge_connected_spanning():
+                out.append(row)
         if self.rng:
             self.rng.shuffle(out)
         return out
 
-    def _split(
-        self, y: int, remaining_after: int
-    ) -> list[tuple[tuple[int, ...], int]] | None:
-        """One row (vector, loop count) per class for the split of vertex y,
-        or None when the budget ran out or no assignment exists."""
-        if self.stats.nodes >= self.budget:
+    def _split(self, z: int) -> list[list[int]] | None:
+        """One row per class for the split of vertex z, or None when the
+        budget ran out or no assignment exists."""
+        n, k = self.n, len(self.work)
+        demand = [self.mu] * z
+        demand[n] = self.mu * (self.m - z)
+        caps = [
+            [min(g.multiplicity(n, v), d) for v, d in enumerate(demand)]
+            for g in self.work
+        ]
+        candidates = [self._rows(g, z, c) for g, c in zip(self.work, caps)]
+        if not all(candidates):
             return None
-        candidates = []
-        for i in range(self.k):
-            cand = self._row_candidates(i, y, remaining_after)
-            if not cand:
-                return None
-            candidates.append(cand)
 
-        row_order = sorted(range(self.k), key=lambda i: len(candidates[i]))
-        # what the rows from position pos on can still give each column and
-        # the amalgam; caps stay fixed within a split
-        col_room = [[0] * y for _ in range(self.k + 1)]
-        amalgam_room = [0] * (self.k + 1)
-        for pos in range(self.k - 1, -1, -1):
-            i = row_order[pos]
-            col_room[pos] = [
-                room + min(count, self.mu, self.r)
-                for room, count in zip(col_room[pos + 1], self.to_amalgam[i])
-            ]
-            amalgam_room[pos] = amalgam_room[pos + 1] + min(self.loops[i], self.r)
+        order = sorted(range(k), key=lambda i: len(candidates[i]))
+        # room[pos]: what the rows from position pos on can still give each
+        # column; caps stay fixed within a split
+        room = [[0] * z]
+        for i in reversed(order):
+            room.append([a + min(c, self.r) for a, c in zip(room[-1], caps[i])])
+        room.reverse()
 
-        col_left = [self.mu] * y
-        chosen: list[tuple[tuple[int, ...], int]] = [((), 0)] * self.k
-
-        def feasible(pos: int, amalgam_left: int) -> bool:
-            # rows not yet placed must be able to finish every column and
-            # the amalgam demand
-            return amalgam_left <= amalgam_room[pos] and all(
-                left <= room for left, room in zip(col_left, col_room[pos])
-            )
-
-        def place(pos: int, amalgam_left: int) -> bool:
-            if self.stats.nodes >= self.budget:
-                return False
-            if pos == self.k:
-                return not any(col_left) and not amalgam_left
-            i = row_order[pos]
-            for vec, b in candidates[i]:
+        # left[pos]: what the rows from position pos on must still give;
+        # tried[pos]: how many of its candidates position pos has tried
+        left = [demand]
+        tried = [0] * k
+        pos = 0
+        while pos < k:
+            cand = candidates[order[pos]]
+            while tried[pos] < len(cand):
+                row = cand[tried[pos]]
+                tried[pos] += 1
                 self.stats.nodes += 1
                 if self.stats.nodes >= self.budget:
-                    return False
-                if b > amalgam_left or any(
-                    x > left for x, left in zip(vec, col_left)
-                ):
-                    continue
-                for c, x in enumerate(vec):
-                    col_left[c] -= x
-                chosen[i] = (vec, b)
-                if feasible(pos + 1, amalgam_left - b) and place(
-                    pos + 1, amalgam_left - b
-                ):
-                    return True
-                for c, x in enumerate(vec):
-                    col_left[c] += x
-            return False
-
-        return chosen if place(0, self.mu * remaining_after) else None
-
-    def _commit(
-        self,
-        y: int,
-        chosen: list[tuple[tuple[int, ...], int]],
-        remaining_after: int,
-    ) -> None:
-        if sum(b for _, b in chosen) != self.mu * remaining_after:
-            raise InternalInconsistencyError(
-                "degree conservation broke during the split"
-            )
-        for i, (vec, b) in enumerate(chosen):
-            for v, x in enumerate(vec):
-                if x:
-                    self.to_amalgam[i][v] -= x
-                    self.result[i].add_edge(y, v, x)
-            self.loops[i] -= b
-            self.to_amalgam[i].append(b)
+                    return None
+                rest = [d - x for d, x in zip(left[pos], row)]
+                if all(0 <= d <= a for d, a in zip(rest, room[pos + 1])):
+                    left.append(rest)
+                    pos += 1
+                    break
+            else:
+                # every candidate at pos failed: step back one position
+                if pos == 0:
+                    return None
+                tried[pos] = 0
+                left.pop()
+                pos -= 1
+        chosen: list[list[int]] = [[]] * k
+        for pos, i in enumerate(order):
+            chosen[i] = candidates[i][tried[pos] - 1]
+        return chosen
 
 
 def fair_detach(
@@ -365,8 +308,7 @@ def fair_detach(
     classes = search.run()
     search.stats.wall_time = time.monotonic() - start
 
-    base = complete_multigraph(params.m, params.mu)
-    result = Decomposition(base, tuple(cls.copy() for cls in classes))
+    result = Decomposition(complete_multigraph(params.m, params.mu), tuple(classes))
     result.validate_partition()
     vertex_map = tuple(list(range(params.n)) + [params.n] * (params.m - params.n))
     return DetachmentWitness(result=result, vertex_map=vertex_map, stats=search.stats)

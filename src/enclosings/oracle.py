@@ -417,7 +417,22 @@ def random_admissible(n: int, lam: int, k: int, r: int, seed: int = 0) -> Decomp
     """A seeded random decomposition of lam*K_n into k classes that passes
     the admissibility predicate, produced by random assignment plus a repair
     loop that moves an edge out of the first offending class.  A move
-    changes two classes, so only those two are re-checked."""
+    changes two classes, so only those two are re-checked.
+
+    Shapes that counting alone rules out are refused before the first draw:
+    some vertex would need degree above r in a class, or the edges would
+    not fit when every class keeps the degree deficit of at least 2 that
+    bullet 2 asks of each component."""
+    if lam * (n - 1) > k * r:
+        raise PreconditionError(
+            f"lambda*(n-1) = {lam * (n - 1)} exceeds k*r = {k * r}: "
+            f"some vertex needs degree above r={r} in a class"
+        )
+    if lam * n * (n - 1) // 2 > k * ((r * n - 2) // 2):
+        raise PreconditionError(
+            f"{lam * n * (n - 1) // 2} edges exceed k*floor((r*n-2)/2) = "
+            f"{k * ((r * n - 2) // 2)}: no {k} {r}-admissible classes hold them"
+        )
     rng = random.Random(seed)
     base = complete_multigraph(n, lam)
     copies = [pair for pair, mult in sorted(base.edges.items()) for _ in range(mult)]

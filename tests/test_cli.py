@@ -434,11 +434,22 @@ def test_gen_rejected_parameters_are_input_errors(tmp_path, capsys, flags, messa
     assert message in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_gen_infeasible_parameters_exhaust(tmp_path, capsys):
-    # one class of 2K2 holds two parallel edges: never 2-admissible
-    code = cli.main(["gen", "--n", "2", "--lambda", "2", "--k", "1", "--r", "2",
-                     "--out", str(tmp_path / "x.json")])
-    assert code == 4
+@pytest.mark.parametrize(
+    "n, lam, k",
+    [
+        # one class of 2K2 holds two parallel edges: never 2-admissible
+        (2, 2, 1),
+        # lambda*(n-1) = 7 > k*r = 6: some vertex needs degree 3 in a class
+        (8, 1, 3),
+    ],
+)
+def test_gen_infeasible_parameters_are_refused(tmp_path, capsys, n, lam, k):
+    out = tmp_path / "x.json"
+    code = cli.main(["gen", "--n", str(n), "--lambda", str(lam), "--k", str(k),
+                     "--r", "2", "--out", str(out)])
+    assert code == 1
+    assert "exceed" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
 
 
 def test_gen_output_is_loadable(tmp_path, capsys):

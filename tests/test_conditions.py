@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclosings.conditions import (
     check_a_prime,
@@ -14,7 +16,7 @@ from enclosings.conditions import (
     pick_regime,
     theorem15_constant,
 )
-from enclosings.decomp import Decomposition
+from enclosings.decomp import Decomposition, s_count, s_uv_count
 from enclosings.errors import PreconditionError
 from enclosings.mgraph import Multigraph, complete_multigraph
 
@@ -317,3 +319,39 @@ def test_check_c_r2_matches_independent_transcription():
             report = check_c(d, params)
             flags = [report.passed(name) for name in ("C1", "C2", "C3", "C4")]
             assert flags == _c_battery_transcription_r2(d, 3, 1, 2, 4, k)
+
+
+@st.composite
+def c_shaped_partitions(draw):
+    """A random partition of lam*K_n into k classes, with the parameters of
+    a C-regime target m = 2n-2."""
+    n = draw(st.integers(2, 6))
+    lam = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 8))
+    r = draw(st.integers(2, 4))
+    mu = draw(st.integers(lam, lam + 3))
+    base = complete_multigraph(n, lam)
+    classes = [Multigraph(n) for _ in range(k)]
+    for (u, v), mult in sorted(base.edges.items()):
+        for _ in range(mult):
+            classes[draw(st.integers(0, k - 1))].add_edge(u, v)
+    params = make_params(n=n, m=2 * n - 2, lam=lam, mu=mu, r=r, k=k)
+    return Decomposition(base, tuple(classes)), params
+
+
+@settings(max_examples=300, deadline=None)
+@given(c_shaped_partitions())
+def test_check_c_pair_bound_matches_s_uv_count_formula(case):
+    d, params = case
+    n, r = params.n, params.r
+    # the definition: every pair's value from s_uv_count, first largest wins
+    s0 = s_count(d, 0)
+    worst_pair, worst = None, -1
+    for u in range(n):
+        for v in range(u + 1, n):
+            value = s0 + sum(s_uv_count(d, i, u, v) for i in range(1, r))
+            if value > worst:
+                worst, worst_pair = value, (u, v)
+    rhs = (params.mu - params.lam) * (Fraction(n * (n - 1), 2) - 1)
+    expected = ("C4", worst <= rhs, f"pair {worst_pair} sum {worst} vs bound {rhs}")
+    assert check_c(d, params).entries[3] == expected

@@ -118,6 +118,8 @@ def test_fair_detach_single_new_vertex_is_decision_free():
     w1 = fair_detach(triad, params, seed=0)
     w2 = fair_detach(triad, params, seed=99)
     assert w1.result == w2.result  # forced assignment regardless of seed
+    # the one new vertex is what is left of the amalgam: nothing is searched
+    assert w1.stats.nodes == w2.stats.nodes == 0
 
 
 def test_fair_detach_2k3_into_2k5():
@@ -159,14 +161,15 @@ def test_fair_detach_budget_exhaustion():
 
 
 def test_fair_detach_stack_depth_does_not_grow_with_splits():
-    # seven splits of thirteen classes: a search that nests splits inside
-    # one another needs well over 60 frames here
+    # seven splits of thirteen classes: a search that recurses per row or
+    # per column, or nests splits inside one another, needs more than 15
+    # frames here
     params = make_params(n=7, m=14, lam=1, mu=2, r=2, k=13)
     g = random_admissible(7, 1, 13, 2, seed=1)
     full, _ = enclose_in_mu_kn(g, params, "B", seed=1)
     triad = build_amalgamated_triad(full, params)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    sys.setrecursionlimit(len(inspect.stack(0)) + 15)
     try:
         witness = fair_detach(triad, params, seed=1, budget=50000)
     finally:

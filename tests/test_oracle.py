@@ -4,9 +4,10 @@ import pytest
 
 from enclosings.conditions import make_params
 from enclosings.decomp import Decomposition, is_admissible, verify_enclosing
-from enclosings.errors import CapExceededError
+from enclosings.errors import CapExceededError, PreconditionError
 from enclosings.mgraph import Multigraph, complete_multigraph
 from enclosings.oracle import (
+    EDGE_CAP,
     brute_force_admissible,
     brute_force_enclose,
     enumerate_decompositions,
@@ -143,6 +144,36 @@ def test_random_admissible_postcondition_and_determinism():
     assert is_admissible(a, 2)
     assert a == b
     assert is_admissible(c, 2)
+
+
+def test_random_admissible_refuses_shapes_counting_rules_out():
+    # n=8: lambda*(n-1) = 7 > k*r = 6; n=7: 21 edges > k*floor((rn-2)/2) = 18
+    for n in (8, 7):
+        with pytest.raises(PreconditionError):
+            random_admissible(n, 1, 3, r=2, seed=1)
+
+
+def test_random_admissible_refuses_exactly_the_infeasible_shapes():
+    # a shape it does not refuse it solves, and a refused one has no
+    # admissible decomposition at all
+    refused = 0
+    for n in range(2, 6):
+        for lam in (1, 2):
+            if lam * n * (n - 1) // 2 > EDGE_CAP:
+                continue
+            for k in range(1, 5):
+                for r in (2, 3):
+                    try:
+                        d = random_admissible(n, lam, k, r, seed=1)
+                    except PreconditionError:
+                        refused += 1
+                        assert not any(
+                            brute_force_admissible(e, r)
+                            for e in enumerate_decompositions(n, lam, k, dedup=True)
+                        )
+                    else:
+                        assert brute_force_admissible(d, r)
+    assert refused == 15
 
 
 def test_random_admissible_one_edge_per_class():

@@ -143,9 +143,14 @@ def serialize_decomposition(d: Decomposition, lam: int) -> dict:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write payload as JSON; a path that cannot be written is an input
+    error."""
+    try:
+        Path(path).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(report: dict) -> None:
@@ -226,13 +231,17 @@ def cmd_enclose(args) -> int:
     out = args.out or f"{args.instance}.enclosing.json"
     trace_out = args.trace_out or f"{args.instance}.trace.json"
     write_json(out, serialize_decomposition(witness.result, args.mu))
-    write_json(trace_out, {
-        "extension": trace.as_list(),
-        "detachment": {
-            "nodes": witness.stats.nodes,
-            "wall_time": witness.stats.wall_time,
-        },
-    })
+    try:
+        write_json(trace_out, {
+            "extension": trace.as_list(),
+            "detachment": {
+                "nodes": witness.stats.nodes,
+                "wall_time": witness.stats.wall_time,
+            },
+        })
+    except InstanceFormatError:
+        Path(out).unlink()  # an enclosing without its trace is half an answer
+        raise
     _emit({
         "status": "enclosed",
         "out": str(out),
@@ -281,7 +290,10 @@ def cmd_gen(args) -> int:
         raise InstanceFormatError(f"r={args.r} must be >= 2")
     if args.exhaustive:
         out_dir = Path(args.out or "instances")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InstanceFormatError(f"cannot create {out_dir}: {exc}") from exc
         written = []
         for idx, d in enumerate(
             enumerate_decompositions(args.n, args.lam, args.k, dedup=True)

@@ -3,8 +3,7 @@ enclosing verifier.
 
 A decomposition splits the edges of a base multigraph into k ordered color
 classes, each a spanning subgraph (isolated vertices implicit through the
-shared vertex count).  While a decomposition is being built, the base edges
-not yet in any class are kept as the multigraph of uncolored edges.
+shared vertex count).
 """
 
 from __future__ import annotations
@@ -16,38 +15,29 @@ from .mgraph import Multigraph, complete_multigraph
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Classes partition the base edges, except those held in `uncolored`
-    (none unless given)."""
+    """Classes that partition the base edges; `validate_partition` checks
+    it."""
 
     base: Multigraph
     classes: tuple[Multigraph, ...]
-    uncolored: Multigraph | None = None
 
     def __post_init__(self):
         for i, cls in enumerate(self.classes):
             if cls.vertex_count != self.base.vertex_count:
                 raise ValueError(f"class {i} vertex count differs from base")
-        if self.uncolored is None:
-            object.__setattr__(self, "uncolored", Multigraph(self.base.vertex_count))
-        elif self.uncolored.vertex_count != self.base.vertex_count:
-            raise ValueError("uncolored vertex count differs from base")
 
     @property
     def k(self) -> int:
         return len(self.classes)
 
     def validate_partition(self) -> None:
-        """Check the classes' and the uncolored edges' per-pair
-        multiplicities sum to the base."""
-        total = dict(self.uncolored.edges)
+        """Check the classes' per-pair multiplicities sum to the base."""
+        total: dict[tuple[int, int], int] = {}
         for cls in self.classes:
             for pair, mult in cls.edges.items():
                 total[pair] = total.get(pair, 0) + mult
         if total != self.base.edges:
             raise ValueError("classes do not partition the base edges")
-
-    def is_complete(self) -> bool:
-        return not self.uncolored.edges
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(cls.edge_count() for cls in self.classes)
@@ -185,10 +175,6 @@ def verify_enclosing(inner: Decomposition, outer: Enclosing, params) -> tuple[bo
         outer.outer.validate_partition()
     except ValueError as exc:
         problems.append(str(exc))
-    if not outer.outer.is_complete():
-        problems.append(
-            f"outer leaves {outer.outer.uncolored.edge_count()} edges uncolored"
-        )
     for i, cls in enumerate(outer.outer.classes):
         degs = [cls.degree(v) for v in range(m)]
         if any(deg != r for deg in degs):

@@ -83,8 +83,6 @@ def build_amalgamated_triad(a: Decomposition, params: EnclosureParams) -> Triad:
     if not report.ok:
         raise PreconditionError(f"condition {report.first_failing()} fails")
     n, m, mu, r = params.n, params.m, params.mu, params.r
-    if not params.p_is_integer:
-        raise InternalInconsistencyError("p is not an integer despite divisibility")
     p = int(params.p)
     x0 = n
     graph = Multigraph(n + 1)

@@ -2,11 +2,13 @@
 decomposition of mu*K_n whose classes are admissible and large enough to
 detach.
 
-`enclose_in_mu_kn` is the one entry: it runs the regime's battery once and
-then takes one of three private routes, one per regime of
-`conditions.pick_regime`:
-  B   (m >= 2n-1): pad every small class up to p edges; a greedy color
-          always exists for each remaining spare edge.
+`enclose_in_mu_kn` is the one entry: it runs the regime's battery once,
+builds the one stage-1 state (copies of g's classes, the spare pool of
+(mu-lambda)K_n and a trace), and changes it in place by the steps of the
+regime that `conditions.pick_regime` names:
+  B   (m >= 2n-1): no route of its own; the coloring loop tries classes
+          below p edges first, so it pads every class to p, and a greedy
+          color always exists for each remaining spare edge.
   C   (m = 2n-2, so p = r): top every class up to r edges through a
           bipartite matching between class slots and spare edges (special
           slots keep a class from ending as r parallel edges); a blocked
@@ -17,9 +19,8 @@ then takes one of three private routes, one per regime of
           (k >= (mu-lambda)n) leaves room for every factor, and gluing a
           matching onto an (r-1)-admissible class keeps it r-admissible.
 
-All routes work on one mutable state, a list of classes, the spare pool and
-a trace, and end in one coloring loop, `_color_rest`, that colors whatever
-the route left in the pool one edge at a time (nothing, for T15).  No route
+Every regime ends in one coloring loop, `_color_rest`, that colors whatever
+is left in the pool one edge at a time (nothing, for T15).  Nothing
 searches: B is greedy, C is one bipartite matching, and T15 is a
 construction.
 
@@ -30,7 +31,6 @@ success, so a failed check is a bug, not an instance property.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -67,7 +67,8 @@ class ExtensionTrace:
 
 def replay_trace(g: Decomposition, params: EnclosureParams, trace: ExtensionTrace) -> Decomposition:
     """Re-apply a trace to the input decomposition; the result must equal the
-    pipeline output it was recorded from."""
+    pipeline output it was recorded from.  Raises ValueError when the trace
+    leaves spare edges uncolored."""
     classes = [cls.copy() for cls in g.classes]
     pool = spare_pool(params)
     for action in trace.actions:
@@ -80,9 +81,9 @@ def replay_trace(g: Decomposition, params: EnclosureParams, trace: ExtensionTrac
             classes[action.cls].add_edge(u, v)
         else:
             raise ValueError(f"unknown trace action {action.kind}")
-    return Decomposition(
-        complete_multigraph(params.n, params.mu), tuple(classes), pool
-    )
+    if pool.edges:
+        raise ValueError(f"trace leaves {pool.edge_count()} spare edges uncolored")
+    return Decomposition(complete_multigraph(params.n, params.mu), tuple(classes))
 
 
 def spare_pool(params: EnclosureParams) -> Multigraph:
@@ -114,36 +115,6 @@ def _assert_class_admissible(cls: Multigraph, r: int, index: int, context: str) 
         )
 
 
-def _start_state(g: Decomposition, params: EnclosureParams) -> tuple[list[Multigraph], Multigraph]:
-    return [cls.copy() for cls in g.classes], spare_pool(params)
-
-
-def _pad_to_p(
-    g: Decomposition, params: EnclosureParams, seed: int = 0
-) -> tuple[Decomposition, ExtensionTrace]:
-    """Add spare edges so that every class has at least p edges; g has
-    passed battery B, so the spare pool covers the deficiency (B3).
-
-    Any choice of spare edges works here: a class that ends with at most
-    p <= r/2 edges cannot violate any admissibility bullet.
-    """
-    classes, pool = _start_state(g, params)
-    trace = ExtensionTrace()
-    base = complete_multigraph(params.n, params.mu)
-    if params.p <= 0:
-        return Decomposition(base, tuple(classes), pool), trace
-    threshold = math.ceil(params.p)
-    order = _pair_order(params.n, seed)
-    for i, cls in enumerate(classes):
-        while cls.edge_count() < threshold:
-            pair = _take_spare(pool, order)
-            pool.remove_edge(*pair)
-            cls.add_edge(*pair)
-            trace.record("pad", pair, i)
-            _assert_class_admissible(cls, params.r, i, f"pad of class {i}")
-    return Decomposition(base, tuple(classes), pool), trace
-
-
 def _is_single_pair_class(cls: Multigraph) -> bool:
     return len(cls.edges) == 1
 
@@ -171,10 +142,14 @@ def _max_bipartite_matching(adj: list[list[int]], w_count: int) -> list[int | No
 
 
 def _extend_to_r_via_matching(
-    g: Decomposition, params: EnclosureParams, seed: int = 0
-) -> tuple[Decomposition, ExtensionTrace]:
-    """Top every class up to r edges in the m = 2n-2 regime; g has passed
-    battery C.
+    classes: list[Multigraph],
+    pool: Multigraph,
+    params: EnclosureParams,
+    seed: int,
+    trace: ExtensionTrace,
+) -> None:
+    """Top every class up to r edges in the m = 2n-2 regime, in place; the
+    input has passed battery C.
 
     Step 1 gives every empty class one spare edge.  Step 2 builds a bipartite
     graph: one side has r-i slots per class that still has i < r edges, the
@@ -185,9 +160,6 @@ def _extend_to_r_via_matching(
     job.
     """
     r = params.r
-    classes, pool = _start_state(g, params)
-    trace = ExtensionTrace()
-    base = complete_multigraph(params.n, params.mu)
     order = _pair_order(params.n, seed)
 
     for i, cls in enumerate(classes):
@@ -239,7 +211,6 @@ def _extend_to_r_via_matching(
             raise InternalInconsistencyError(
                 f"class {i} ended as {r} parallel edges despite its special slot"
             )
-    return Decomposition(base, tuple(classes), pool), trace
 
 
 def _color_rest(
@@ -250,24 +221,33 @@ def _color_rest(
     trace: ExtensionTrace,
 ) -> None:
     """Color the spare edges left in `pool`, in place, smallest pair first:
-    each takes the first class that stays admissible with it.
+    each takes the first class that stays admissible with it, the classes
+    with fewer than p edges tried first (a stable sort, so index order
+    otherwise).
 
-    For m >= 2n-1 some class always does: otherwise both endpoints would
-    carry too much degree across the k classes.  For m = 2n-2 an edge {x,y}
-    can block: then exactly one class j holds r-1 parallel xy-copies and
-    every other class is saturated around x and y.  Class j has another
-    component with a low-degree vertex u; an xu-edge can take color j
-    directly (if uncolored), or a spare xu-edge is recolored from its class
-    c to j and the blocked edge takes c.  Edges of g are never recolored:
-    a copy only moves where the class multiplicity exceeds g's.
+    Trying short classes first pads every class to p, as B needs: a class
+    with at most p <= r/2 edges is always admissible, and B3 makes the pool
+    cover the deficiency.  The order is the plain index order when p <= 0,
+    and in C, where the matching has brought every class to p = r.
+
+    For m >= 2n-1 some class always takes the edge: otherwise both
+    endpoints would carry too much degree across the k classes.  For
+    m = 2n-2 an edge {x,y} can block: then exactly one class j holds r-1
+    parallel xy-copies and every other class is saturated around x and y.
+    Class j has another component with a low-degree vertex u; an xu-edge
+    can take color j directly (if uncolored), or a spare xu-edge is
+    recolored from its class c to j and the blocked edge takes c.  Edges of
+    g are never recolored: a copy only moves where the class multiplicity
+    exceeds g's.
     """
-    n, r, mu, lam = params.n, params.r, params.mu, params.lam
+    n, r, mu, lam, p = params.n, params.r, params.mu, params.lam, params.p
     recolor = params.m == 2 * n - 2
     if recolor and pool.edges and not (2 * (r - 1) >= mu > lam):
         raise PreconditionError("recoloring step needs 2(r-1) >= mu > lambda")
     while pool.edges:
         edge = min(pool.edges)
-        for i, cls in enumerate(classes):
+        for i in sorted(range(len(classes)), key=lambda j: classes[j].edge_count() >= p):
+            cls = classes[i]
             cls.add_edge(*edge)
             if class_admissibility_violation(cls, r, i) is None:
                 pool.remove_edge(*edge)
@@ -411,33 +391,34 @@ def _near_equal_matchings(n: int, mult: int, k: int, seed: int = 0) -> list[Mult
 
 
 def _proper_padding(
-    g: Decomposition, params: EnclosureParams, seed: int = 0
-) -> tuple[Decomposition, ExtensionTrace]:
-    """Glue one matching of `_near_equal_matchings` onto each class of g;
-    g has passed battery T15, whose class-count bound (T5) is what the
-    builder needs.  The union of an (r-1)-admissible class and a matching
-    stays r-admissible, and the near-equal sizes give every class at least
-    p edges."""
+    classes: list[Multigraph],
+    pool: Multigraph,
+    params: EnclosureParams,
+    seed: int,
+    trace: ExtensionTrace,
+) -> None:
+    """Glue one matching of `_near_equal_matchings` onto each class, in
+    place, taking its edges from the pool, which ends empty; the input has
+    passed battery T15, whose class-count bound (T5) is what the builder
+    needs.  The union of an (r-1)-admissible class and a matching stays
+    r-admissible, and the near-equal sizes give every class at least p
+    edges."""
     n, k, mu, lam, r = params.n, params.k, params.mu, params.lam, params.r
-    pool_classes = _near_equal_matchings(n, mu - lam, k, seed)
-    trace = ExtensionTrace()
-    classes = []
-    for i, (own, extra) in enumerate(zip(g.classes, pool_classes)):
+    matchings = _near_equal_matchings(n, mu - lam, k, seed)
+    for i, (cls, extra) in enumerate(zip(classes, matchings)):
         if any(extra.degree(v) > 1 for v in range(n)):
             raise InternalInconsistencyError(
                 f"pool class {i} is not a matching although k >= (mu-lambda)n"
             )
-        merged = own.copy()
         for a, b in sorted(extra.edges):
-            merged.add_edge(a, b)
+            pool.remove_edge(a, b)
+            cls.add_edge(a, b)
             trace.record("pad", (a, b), i)
-        classes.append(merged)
-        _assert_class_admissible(merged, r, i, f"gluing pool class {i}")
-        if merged.edge_count() < params.p:
+        _assert_class_admissible(cls, r, i, f"gluing pool class {i}")
+        if cls.edge_count() < params.p:
             raise InternalInconsistencyError(
-                f"class {i} has {merged.edge_count()} < p = {params.p} edges"
+                f"class {i} has {cls.edge_count()} < p = {params.p} edges"
             )
-    return Decomposition(complete_multigraph(n, mu), tuple(classes)), trace
 
 
 def enclose_in_mu_kn(
@@ -449,19 +430,20 @@ def enclose_in_mu_kn(
 
     This is the one place stage 1 runs the battery: it raises
     ConditionsFailedError, carrying the report, when the battery fails, and
-    the routes behind it take the battery's conditions as given."""
+    the steps behind it take the battery's conditions as given.  It is also
+    the one place the stage-1 state is built; each step changes it in place.
+    """
     report = check_regime(mode, g, params)
     if not report.ok:
         raise ConditionsFailedError(report)
-    if mode == "B":
-        stage, trace = _pad_to_p(g, params, seed)
-    elif mode == "C":
-        stage, trace = _extend_to_r_via_matching(g, params, seed)
-    else:
-        stage, trace = _proper_padding(g, params, seed)
-    classes, pool = list(stage.classes), stage.uncolored
+    classes = [cls.copy() for cls in g.classes]
+    pool, trace = spare_pool(params), ExtensionTrace()
+    if mode == "C":
+        _extend_to_r_via_matching(classes, pool, params, seed, trace)
+    elif mode == "T15":
+        _proper_padding(classes, pool, params, seed, trace)
     _color_rest(classes, pool, g, params, trace)
-    result = Decomposition(stage.base, tuple(classes), pool)
+    result = Decomposition(complete_multigraph(params.n, params.mu), tuple(classes))
 
     result.validate_partition()
     a_report = check_a_prime(result, params)

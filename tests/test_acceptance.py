@@ -246,7 +246,7 @@ def _replay_checked(g, params, mode, seed) -> int:
     edges after every action; returns the number of actions."""
     full, trace = enclose_in_mu_kn(g, params, mode, seed=seed)
     classes, pool = [cls.copy() for cls in g.classes], spare_pool(params)
-    state = Decomposition(full.base, tuple(classes), pool)
+    state = Decomposition(full.base, tuple(classes))
     for action in trace.actions:
         u, v = action.edge
         if action.kind == "recolor":
@@ -257,6 +257,7 @@ def _replay_checked(g, params, mode, seed) -> int:
         classes[action.cls].add_edge(u, v)
         assert is_admissible(state, params.r)
         _assert_superdecomposition(g, state)
+    assert not pool.edges
     assert state == full
     return len(trace.actions)
 
@@ -293,8 +294,18 @@ def test_criterion_7_step_invariance_suite():
                 continue
             actions_checked += _replay_checked(g, params, "C", seed)
             runs += 1
+
+    # T15 in criterion 6's shape: its padding takes from the same pool
+    t15_params = make_params(n=8, m=16, lam=1, mu=2, r=3, k=10)
+    t15_runs = 0
+    for seed in range(1, 41):
+        g = random_admissible(8, 1, 10, r=2, seed=seed)
+        assert check_theorem15(g, t15_params).ok
+        actions_checked += _replay_checked(g, t15_params, "T15", seed)
+        t15_runs += 1
     elapsed = _report("7 step-invariance", started,
-                      f"{runs} runs, {actions_checked} stepped actions, 0 violations")
+                      f"{runs} B/C runs + {t15_runs} T15 runs, "
+                      f"{actions_checked} stepped actions, 0 violations")
 
 
 def _single_violation_instances(limit: int):

@@ -351,6 +351,31 @@ def test_gen_exhaustive_sequence(tmp_path, capsys):
         load_instance(f)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enclose", "{inst}", "--m", "5", "--mu", "2", "--r", "2", "--out", "{missing}"],
+        ["enclose", "{inst}", "--m", "5", "--mu", "2", "--r", "2",
+         "--out", "{enc}", "--trace-out", "{missing}"],
+        ["oracle", "{inst}", "--m", "5", "--mu", "2", "--r", "2", "--out", "{missing}"],
+        ["gen", "--n", "4", "--lambda", "1", "--k", "3", "--out", "{missing}"],
+        ["gen", "--n", "3", "--lambda", "1", "--k", "3", "--exhaustive", "--out", "{inst}"],
+    ],
+    ids=["enclose-out", "enclose-trace-out", "oracle-out", "gen-out", "gen-exhaustive-file"],
+)
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, argv):
+    paths = {
+        "inst": write_instance(tmp_path),
+        "missing": tmp_path / "no-such-dir" / "x.json",
+        "enc": tmp_path / "enclosing.json",
+    }
+    code = cli.main([arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("cannot ")
+    # no half answer: an enclosing is written only with its trace
+    assert not paths["enc"].exists()
+
+
 def test_env_budget_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ENCLOSE_BUDGET", "1")
     path = write_instance(tmp_path)

@@ -206,16 +206,15 @@ def test_verify_enclosing_class_count_mismatch():
 
 
 def test_verify_enclosing_rejects_uncolored_edges():
-    # one 5-cycle class with the other 5-cycle left uncolored: every class
-    # check passes, but the classes do not decompose all of K_5
+    # one 5-cycle class with the other 5-cycle of K_5 in no class: every
+    # class check passes, but the classes do not decompose all of K_5
     base = complete_multigraph(5, 1)
     c1 = five_cycle(5, [0, 1, 2, 3, 4])
-    c2 = five_cycle(5, [0, 2, 4, 1, 3])
-    outer = Decomposition(base, (c1,), c2)
+    outer = Decomposition(base, (c1,))
     params = make_params(n=5, m=5, lam=1, mu=1, r=2, k=1)
     ok, problems = verify_enclosing(outer, Enclosing(outer, 5), params)
     assert not ok
-    assert problems == ["outer leaves 5 edges uncolored"]
+    assert problems == ["classes do not partition the base edges"]
 
 
 def test_restrict_identity_and_single_vertex():
@@ -251,28 +250,3 @@ def test_partition_invariant(d):
             total[pair] = total.get(pair, 0) + mult
     assert total == d.base.edges
 
-
-def test_partial_decomposition_roundtrip():
-    base = complete_multigraph(3, 2)
-    colored = classes_from(3, [(0, 1)], [(0, 2)])
-    uncolored = Multigraph(3)
-    uncolored.add_edge(0, 1)
-    uncolored.add_edge(0, 2)
-    uncolored.add_edge(1, 2, 2)
-    pd = Decomposition(base, colored, uncolored)
-    pd.validate_partition()
-    assert not pd.is_complete()
-    # the uncolored edges count towards the partition
-    with pytest.raises(ValueError):
-        Decomposition(base, colored).validate_partition()
-    short = uncolored.copy()
-    short.remove_edge(1, 2)
-    with pytest.raises(ValueError):
-        Decomposition(base, colored, short).validate_partition()
-    # coloring the rest completes it, equal to one built without uncolored
-    full_classes = classes_from(3, [(0, 1), (0, 1)], [(0, 2), (0, 2), (1, 2), (1, 2)])
-    done = Decomposition(base, full_classes, Multigraph(3))
-    done.validate_partition()
-    assert done.is_complete()
-    assert done == Decomposition(base, full_classes)
-    assert Decomposition(base, full_classes).uncolored == Multigraph(3)

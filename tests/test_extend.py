@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclosings.conditions import check_a_prime, check_regime, make_params
-from enclosings.decomp import Decomposition, is_admissible
+from enclosings.conditions import check_a_prime, check_b, check_regime, make_params
+from enclosings.decomp import Decomposition, Enclosing, is_admissible, verify_enclosing
+from enclosings.detach import build_amalgamated_triad, fair_detach
 from enclosings.errors import (
     ConditionsFailedError,
     InternalInconsistencyError,
@@ -15,13 +16,14 @@ from enclosings.errors import (
 )
 from enclosings.extend import (
     ExtensionTrace,
+    TraceAction,
     _color_rest,
     _extend_to_r_via_matching,
     _near_equal_matchings,
-    _pad_to_p,
     _proper_padding,
     enclose_in_mu_kn,
     replay_trace,
+    spare_pool,
 )
 from enclosings.mgraph import Multigraph, complete_multigraph
 from enclosings.oracle import bryant_decompose, random_admissible
@@ -49,39 +51,58 @@ def k3_singletons(k, lam=1):
     return build(3, lam, *lists, k=k)
 
 
-# ---------------------------------------------------------------- pad_to_p
+def start_state(g, params):
+    """The stage-1 state `enclose_in_mu_kn` starts from: copies of g's
+    classes, the spare pool and an empty trace."""
+    return [cls.copy() for cls in g.classes], spare_pool(params), ExtensionTrace()
+
+
+def full_decomposition(classes, params):
+    return Decomposition(complete_multigraph(params.n, params.mu), tuple(classes))
+
+
+# ---------------------------------------------------------------- pad to p
 
 
 def test_pad_to_p_trivial_when_p_nonpositive():
+    # p = 0: no class is short, so each spare edge takes the first class in
+    # index order that stays admissible with it
     g = k3_singletons(5)
     params = make_params(n=3, m=6, lam=1, mu=2, r=2, k=5)
-    gp, trace = _pad_to_p(g, params)
-    assert trace.actions == []
-    assert gp.classes == g.classes
-    assert gp.uncolored.edge_count() == 3  # whole spare pool
+    assert params.p == 0
+    _, trace = enclose_in_mu_kn(g, params, "B")
+    assert trace.actions == [
+        TraceAction("color", (0, 1), 1),  # class 0 would hold 2 parallel copies
+        TraceAction("color", (0, 2), 0),
+        TraceAction("color", (1, 2), 3),  # classes 0-2 would close a cycle
+    ]
 
 
 def test_pad_to_p_fills_empty_class():
+    # p = 1: the empty class is tried first, so it takes the first spare edge
     g = k3_singletons(4)
     params = make_params(n=3, m=5, lam=1, mu=2, r=2, k=4)
-    gp, trace = _pad_to_p(g, params)
     assert params.p == 1
-    assert all(cls.edge_count() >= 1 for cls in gp.classes)
-    assert len(trace.actions) == 1 and trace.actions[0].kind == "pad"
-    assert is_admissible(gp, 2)
-    gp.validate_partition()
+    full, trace = enclose_in_mu_kn(g, params, "B")
+    assert all(cls.edge_count() >= 1 for cls in full.classes)
+    assert trace.actions[0] == TraceAction("color", (0, 1), 3)
+    assert all(a.kind == "color" for a in trace.actions)
+    assert is_admissible(full, 2)
+    full.validate_partition()
     # only spare edges were added
-    for inner_cls, padded_cls in zip(g.classes, gp.classes):
+    for inner_cls, padded_cls in zip(g.classes, full.classes):
         for pair, mult in inner_cls.edges.items():
             assert padded_cls.multiplicity(*pair) >= mult
 
 
 def test_pad_to_p_seed_determinism():
+    # B stage 1 is greedy over pairs in sorted order: the seed changes nothing
     g = k3_singletons(4)
     params = make_params(n=3, m=5, lam=1, mu=2, r=2, k=4)
-    a1, t1 = _pad_to_p(g, params, seed=9)
-    a2, t2 = _pad_to_p(g, params, seed=9)
-    assert a1 == a2 and t1.actions == t2.actions
+    a0, t0 = enclose_in_mu_kn(g, params, "B", seed=0)
+    for seed in (9, 9, 10):
+        a, t = enclose_in_mu_kn(g, params, "B", seed=seed)
+        assert a == a0 and t.actions == t0.actions
 
 
 # ------------------------------------------------- extend_to_r_via_matching
@@ -90,17 +111,22 @@ def test_pad_to_p_seed_determinism():
 def test_matching_extension_identity_when_no_deficient_class():
     d = build(3, 2, [(0, 1), (1, 2)], [(0, 1), (0, 2)], [(0, 2), (1, 2)])
     params = make_params(n=3, m=4, lam=2, mu=3, r=2, k=3)
-    gp, trace = _extend_to_r_via_matching(d, params)
+    classes, pool, trace = start_state(d, params)
+    _extend_to_r_via_matching(classes, pool, params, 0, trace)
     assert trace.actions == []
-    assert gp.classes == d.classes
+    assert tuple(classes) == d.classes
+    assert pool == spare_pool(params)
 
 
 def test_matching_extension_r3_example():
     g = k3_singletons(3)
     params = make_params(n=3, m=4, lam=1, mu=3, r=3, k=3)
-    gp, trace = _extend_to_r_via_matching(g, params)
+    classes, pool, trace = start_state(g, params)
+    _extend_to_r_via_matching(classes, pool, params, 0, trace)
+    gp = full_decomposition(classes, params)
     assert gp.class_sizes() == (3, 3, 3)
     assert is_admissible(gp, 3)
+    assert not pool.edges
     gp.validate_partition()
     for cls in gp.classes:
         assert not (cls.edge_count() == 3 and len(cls.edges) == 1)
@@ -111,36 +137,35 @@ def test_matching_extension_r3_example():
 # ------------------------------------------------------------ color stepping
 
 
-def color_rest(gp, g, params):
-    """Run `_color_rest` on a copy of gp's state; returns the result and the
-    actions it recorded."""
-    classes, pool = [cls.copy() for cls in gp.classes], gp.uncolored.copy()
+def color_rest(classes, pool, g, params):
+    """Run `_color_rest` on copies of a stage-1 state; returns the colored
+    classes as a decomposition of mu*K_n and the actions it recorded."""
+    classes, pool = [cls.copy() for cls in classes], pool.copy()
     trace = ExtensionTrace()
     _color_rest(classes, pool, g, params, trace)
-    return Decomposition(gp.base, tuple(classes), pool), trace.actions
+    return full_decomposition(classes, params), trace.actions
 
 
 def test_color_rest_completes_b_decomposition():
     g = k3_singletons(4)
     params = make_params(n=3, m=5, lam=1, mu=2, r=2, k=4)
-    gp, _ = _pad_to_p(g, params)
-    result, actions = color_rest(gp, g, params)
-    # pool of 3 spare edges, one consumed by padding
-    assert [a.kind for a in actions] == ["color", "color"]
-    classes = [cls.copy() for cls in gp.classes]
+    start, pool, _ = start_state(g, params)
+    result, actions = color_rest(start, pool, g, params)
+    # the whole pool of 3 spare edges, padding included
+    assert [a.kind for a in actions] == ["color", "color", "color"]
+    classes = [cls.copy() for cls in start]
     for action in actions:
         classes[action.cls].add_edge(*action.edge)
-        assert is_admissible(Decomposition(gp.base, tuple(classes)), 2)
+        assert is_admissible(full_decomposition(classes, params), 2)
     assert tuple(classes) == result.classes
-    assert result.is_complete()
     result.validate_partition()
 
 
 def blocked_recolor_fixture():
-    """A strict partial decomposition of 2K4 where the edge (0,1) cannot be
-    colored directly with any of the five classes: one class holds the lone
-    protected (0,1) copy and every other class closes a cycle through 0 and
-    1.  Only the recolor route makes progress."""
+    """A stage-1 state on 2K4 where the spare edge (0,1) left in the pool
+    cannot be colored directly with any of the five classes: one class
+    holds the lone protected (0,1) copy and every other class closes a
+    cycle through 0 and 1.  Only the recolor route makes progress."""
     g_protected = build(
         4,
         1,
@@ -162,24 +187,21 @@ def blocked_recolor_fixture():
         for e in edges:
             cls.add_edge(*e)
         classes.append(cls)
-    uncolored = Multigraph(4)
-    uncolored.add_edge(0, 1)
-    gp = Decomposition(
-        complete_multigraph(4, 2), tuple(classes), uncolored
-    )
-    gp.validate_partition()
-    return g_protected, gp
+    pool = Multigraph(4)
+    pool.add_edge(0, 1)
+    # the classes and the pool partition 2K4
+    Decomposition(complete_multigraph(4, 2), (*classes, pool)).validate_partition()
+    return g_protected, classes, pool
 
 
 def test_recolor_branch_is_taken_and_preserves_protected_edges():
-    g_protected, gp = blocked_recolor_fixture()
+    g_protected, classes, pool = blocked_recolor_fixture()
     params = make_params(n=4, m=6, lam=1, mu=2, r=2, k=5)
-    assert is_admissible(gp, 2)
-    result, actions = color_rest(gp, g_protected, params)
+    assert is_admissible(full_decomposition(classes, params), 2)
+    result, actions = color_rest(classes, pool, g_protected, params)
     kinds = [a.kind for a in actions]
     assert "recolor" in kinds
     assert is_admissible(result, 2)
-    assert result.is_complete()
     result.validate_partition()
     # protected copies still present classwise
     for inner_cls, out_cls in zip(g_protected.classes, result.classes):
@@ -194,10 +216,11 @@ def test_recolor_branch_is_taken_and_preserves_protected_edges():
 def test_recolor_direct_path_when_possible():
     g = k3_singletons(3)
     params = make_params(n=3, m=4, lam=1, mu=2, r=2, k=3)
-    gp, _ = _extend_to_r_via_matching(g, params)
+    classes, pool, trace = start_state(g, params)
+    _extend_to_r_via_matching(classes, pool, params, 0, trace)
     # complete already for this instance; craft a strict state instead by
-    # removing one assignment: recolor step should color it directly
-    classes = list(gp.classes)
+    # returning one assignment to the pool: recolor step should color it
+    # directly
     target = None
     for i, cls in enumerate(classes):
         for pair in sorted(cls.edges):
@@ -207,15 +230,11 @@ def test_recolor_direct_path_when_possible():
         if target:
             break
     i, pair = target
-    reduced = classes[i].copy()
-    reduced.remove_edge(*pair)
-    classes[i] = reduced
-    uncolored = gp.uncolored.copy()
-    uncolored.add_edge(*pair)
-    strict = Decomposition(gp.base, tuple(classes), uncolored)
-    result, actions = color_rest(strict, g, params)
+    classes[i].remove_edge(*pair)
+    pool.add_edge(*pair)
+    result, actions = color_rest(classes, pool, g, params)
     assert [a.kind for a in actions] == ["color"]
-    assert result.is_complete()
+    result.validate_partition()
 
 
 def test_recolor_requires_margin():
@@ -223,11 +242,8 @@ def test_recolor_requires_margin():
     # divisibility gate passes and the margin 2(r-1) >= mu is what trips
     g = k3_singletons(6)
     params = make_params(n=3, m=4, lam=1, mu=4, r=2, k=6)
-    gp = Decomposition(
-        complete_multigraph(3, 4), g.classes, complete_multigraph(3, 3)
-    )
     with pytest.raises(PreconditionError, match="2\\(r-1\\)"):
-        color_rest(gp, g, params)
+        color_rest(g.classes, complete_multigraph(3, 3), g, params)
 
 
 # ------------------------------------------------------------------- bryant
@@ -307,7 +323,10 @@ def test_near_equal_matchings_partition_mult_kn(case):
 def test_proper_padding_k8_instance():
     g = random_admissible(8, 1, 10, r=2, seed=3)
     params = make_params(n=8, m=16, lam=1, mu=2, r=3, k=10)
-    full, trace = _proper_padding(g, params, seed=3)
+    classes, pool, trace = start_state(g, params)
+    _proper_padding(classes, pool, params, 3, trace)
+    assert not pool.edges  # the whole pool is glued on
+    full = full_decomposition(classes, params)
     full.validate_partition()
     assert is_admissible(full, 3)
     assert params.p == 0
@@ -325,9 +344,11 @@ def test_enclose_in_mu_kn_b_path():
     params = make_params(n=3, m=5, lam=1, mu=2, r=2, k=4)
     full, trace = enclose_in_mu_kn(g, params, "B")
     assert check_a_prime(full, params).ok
-    replayed = replay_trace(g, params, trace)
-    assert replayed.is_complete()
-    assert replayed == full
+    assert replay_trace(g, params, trace) == full
+    # a trace that stops early leaves a spare edge uncolored
+    short = ExtensionTrace(trace.actions[:-1])
+    with pytest.raises(ValueError, match="leaves 1 spare edges"):
+        replay_trace(g, params, short)
 
 
 def test_enclose_in_mu_kn_c_path():
@@ -403,3 +424,19 @@ def test_enclose_in_mu_kn_c_path_with_coloring_loop():
     assert any(a.kind == "color" for a in trace.actions)
     replayed = replay_trace(g, params, trace)
     assert replayed == full
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_b_padded_enclosing_end_to_end(n):
+    # m = 2n-1 gives p = r(2n-m)/2 = 1 > 0: the coloring loop pads, and the
+    # result still detaches and verifies
+    params = make_params(n=n, m=2 * n - 1, lam=1, mu=2, r=2, k=2 * n - 2)
+    assert params.p == 1
+    for seed in range(1, 11):
+        g = random_admissible(n, 1, params.k, r=2, seed=seed)
+        assert check_b(g, params).ok
+        full, trace = enclose_in_mu_kn(g, params, "B", seed=seed)
+        assert "pad" not in {a.kind for a in trace.actions}
+        witness = fair_detach(build_amalgamated_triad(full, params), params, seed=seed)
+        ok, problems = verify_enclosing(g, Enclosing(witness.result, n), params)
+        assert ok, problems

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomp import Decomposition, is_admissible, s_count
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import PreconditionError
 from .mgraph import complete_multigraph
 
 
@@ -52,12 +52,7 @@ def make_params(n: int, m: int, lam: int, mu: int, r: int, k: int) -> EnclosureP
         raise PreconditionError(f"m={m} must be >= n={n}")
     if r < 2:
         raise PreconditionError(f"r={r} must be >= 2")
-    p = Fraction(r * (2 * n - m), 2)
-    if r * k == mu * (m - 1) and (r * m) % 2 == 0 and p.denominator != 1:
-        raise InternalInconsistencyError(
-            "p failed to be an integer although r*m is even"
-        )
-    return EnclosureParams(n=n, m=m, lam=lam, mu=mu, r=r, k=k, p=p)
+    return EnclosureParams(n=n, m=m, lam=lam, mu=mu, r=r, k=k, p=Fraction(r * (2 * n - m), 2))
 
 
 @dataclass(frozen=True)

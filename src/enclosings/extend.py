@@ -9,10 +9,11 @@ regime that `conditions.pick_regime` names:
   B   (m >= 2n-1): no route of its own; the coloring loop tries classes
           below p edges first, so it pads every class to p, and a greedy
           color always exists for each remaining spare edge.
-  C   (m = 2n-2, so p = r): top every class up to r edges through a
-          bipartite matching between class slots and spare edges (special
-          slots keep a class from ending as r parallel edges); a blocked
-          spare edge is unblocked by recoloring one non-protected edge.
+  C   (m = 2n-2, so p = r): top every class up to r edges by filling
+          class slots from per-pair spare counts, the tightest pair of
+          Hall's condition first (special slots keep a class from ending as
+          r parallel edges); a blocked spare edge is unblocked by
+          recoloring one non-protected edge.
   T15 (r >= 3): split the whole spare pool into k matchings of near-equal
           size, built directly: the round-robin 1-factors of each copy of
           K_n, balanced by swapping colors along alternating paths.  T5
@@ -21,7 +22,7 @@ regime that `conditions.pick_regime` names:
 
 Every regime ends in one coloring loop, `_color_rest`, that colors whatever
 is left in the pool one edge at a time (nothing, for T15).  Nothing
-searches: B is greedy, C is one bipartite matching, and T15 is a
+searches: B is greedy, C fills its slots by counting, and T15 is a
 construction.
 
 Every single mutation re-checks admissibility of the touched classes and
@@ -32,6 +33,7 @@ success, so a failed check is a bug, not an instance property.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .conditions import EnclosureParams, check_a_prime, check_regime
@@ -119,26 +121,39 @@ def _is_single_pair_class(cls: Multigraph) -> bool:
     return len(cls.edges) == 1
 
 
-def _max_bipartite_matching(adj: list[list[int]], w_count: int) -> list[int | None]:
-    """Augmenting-path matching; adj[v] lists the W indices v may take.
-    Returns match_of_v (W index or None per V node)."""
-    match_of_w: list[int | None] = [None] * w_count
-    match_of_v: list[int | None] = [None] * len(adj)
+def _assign_slots(forbidden: list, copies: dict) -> list:
+    """One pair per slot: slot i refuses pair forbidden[i] (None: no pair),
+    and each pair goes to at most copies[pair] slots.  `copies` names every
+    refused pair, and its order breaks ties.  Raises
+    InternalInconsistencyError when no such assignment exists.
 
-    def try_augment(v: int, visited: set[int]) -> bool:
-        for w in adj[v]:
-            if w in visited:
-                continue
-            visited.add(w)
-            if match_of_w[w] is None or try_augment(match_of_w[w], visited):
-                match_of_w[w] = v
-                match_of_v[v] = w
-                return True
-        return False
+    With s_P slots refusing P, e_P copies of P, S slots and E copies, Hall's
+    condition is S <= E and t_P = s_P + e_P <= E for every P.  As
+    sum_P t_P <= S + E <= 2E, at most two pairs are tight (t_P = E), and then
+    every slot and copy is on them.  Each step serves the tightest pair T: a
+    slot refusing T takes a copy of the tightest other pair, or else a T copy
+    goes to a slot refusing the tightest other pair (a plain slot when none
+    is left).  Both lower t of every tight pair, so the condition holds."""
+    left, need = dict(copies), Counter(forbidden)
+    given: dict = {bad: [] for bad in need}  # refused pair (None: plain) -> pairs given
 
-    for v in range(len(adj)):
-        try_augment(v, set())
-    return match_of_v
+    def tightness(pair) -> int:
+        return need[pair] + left[pair]
+
+    for _ in forbidden:
+        tight = max(left, key=tightness)
+        if max(need.total(), tightness(tight)) > sum(left.values()):
+            raise InternalInconsistencyError(
+                "slot assignment failed although the pair and deficiency bounds hold"
+            )
+        if need[tight]:
+            group, pair = tight, max((q for q in left if q != tight and left[q]), key=tightness)
+        else:
+            group, pair = max((q for q in left if need[q]), key=tightness, default=None), tight
+        need[group] -= 1
+        left[pair] -= 1
+        given[group].append(pair)
+    return [given[bad].pop(0) for bad in forbidden]
 
 
 def _extend_to_r_via_matching(
@@ -151,12 +166,12 @@ def _extend_to_r_via_matching(
     """Top every class up to r edges in the m = 2n-2 regime, in place; the
     input has passed battery C.
 
-    Step 1 gives every empty class one spare edge.  Step 2 builds a bipartite
-    graph: one side has r-i slots per class that still has i < r edges, the
-    other side has the remaining spare edges.  A class whose i edges all lie
-    on one pair {u,v} gets one "special" slot that refuses uv-edges, so no
-    class can finish as r parallel edges.  A slot-saturating matching exists
-    whenever the pair and deficiency bounds hold; its assignments finish the
+    Step 1 gives every empty class one spare edge.  Step 2 opens r-i slots
+    per class that still has i < r edges.  A class whose i edges all lie on
+    one pair {u,v} gets one "special" slot that refuses uv-edges, so no
+    class can finish as r parallel edges.  `_assign_slots` fills the slots
+    from the spare copies by counting; the pair and deficiency bounds are
+    Hall's condition for it, and its assignments, in slot order, finish the
     job.
     """
     r = params.r
@@ -170,7 +185,6 @@ def _extend_to_r_via_matching(
             trace.record("pad", pair, i)
             _assert_class_admissible(cls, r, i, f"seeding empty class {i}")
 
-    # V side: slots per deficient class; W side: remaining spare edges
     slots: list[tuple[int, tuple[int, int] | None]] = []
     for i, cls in enumerate(classes):
         size = cls.edge_count()
@@ -183,22 +197,8 @@ def _extend_to_r_via_matching(
         else:
             slots.extend((i, None) for _ in range(r - size))
 
-    spare_edges: list[tuple[int, int]] = []
-    for pair in order:
-        spare_edges.extend([pair] * pool.multiplicity(*pair))
-
-    adj = [
-        [w for w, pair in enumerate(spare_edges) if pair != forbidden]
-        for _, forbidden in slots
-    ]
-    match_of_v = _max_bipartite_matching(adj, len(spare_edges))
-    if any(w is None for w in match_of_v):
-        raise InternalInconsistencyError(
-            "slot matching failed to saturate although the pair and "
-            "deficiency bounds hold"
-        )
-    for (i, _), w in zip(slots, match_of_v):
-        pair = spare_edges[w]
+    copies = {pair: pool.multiplicity(*pair) for pair in order}
+    for (i, _), pair in zip(slots, _assign_slots([bad for _, bad in slots], copies)):
         pool.remove_edge(*pair)
         classes[i].add_edge(*pair)
         trace.record("matching", pair, i)
@@ -228,7 +228,7 @@ def _color_rest(
     Trying short classes first pads every class to p, as B needs: a class
     with at most p <= r/2 edges is always admissible, and B3 makes the pool
     cover the deficiency.  The order is the plain index order when p <= 0,
-    and in C, where the matching has brought every class to p = r.
+    and in C, where the slot assignment has brought every class to p = r.
 
     For m >= 2n-1 some class always takes the edge: otherwise both
     endpoints would carry too much degree across the k classes.  For

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import inspect
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclosings.conditions import check_a_prime, check_b, check_regime, make_params
+from enclosings.conditions import check_a_prime, check_b, check_c, check_regime, make_params
 from enclosings.decomp import Decomposition, Enclosing, is_admissible, verify_enclosing
 from enclosings.detach import build_amalgamated_triad, fair_detach
 from enclosings.errors import (
@@ -17,6 +19,7 @@ from enclosings.errors import (
 from enclosings.extend import (
     ExtensionTrace,
     TraceAction,
+    _assign_slots,
     _color_rest,
     _extend_to_r_via_matching,
     _near_equal_matchings,
@@ -26,7 +29,7 @@ from enclosings.extend import (
     spare_pool,
 )
 from enclosings.mgraph import Multigraph, complete_multigraph
-from enclosings.oracle import bryant_decompose, random_admissible
+from enclosings.oracle import bryant_decompose, enumerate_decompositions, random_admissible
 
 
 def build(n, lam, *edge_lists, k=None):
@@ -132,6 +135,99 @@ def test_matching_extension_r3_example():
         assert not (cls.edge_count() == 3 and len(cls.edges) == 1)
     # every class was deficient: one slot is special per class
     assert sum(1 for a in trace.actions if a.kind == "matching") == 6
+
+
+def test_assign_slots_k3_derangement():
+    # every slot refuses its own pair and each pair has one copy: handing out
+    # the pair with the most copies left would leave the last slot only its
+    # own pair
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert _assign_slots(pairs, dict.fromkeys(pairs, 1)) == [(0, 2), (1, 2), (0, 1)]
+
+
+@st.composite
+def slot_counts(draw):
+    """One to five pairs, each with 0-3 copies and 0-3 special slots, and 0-3
+    plain slots, the slots in a drawn order."""
+    pairs = [(0, j) for j in range(1, draw(st.integers(1, 5)) + 1)]
+    copies = {pair: draw(st.integers(0, 3)) for pair in pairs}
+    forbidden = [None] * draw(st.integers(0, 3))
+    for pair in pairs:
+        forbidden += [pair] * draw(st.integers(0, 3))
+    return draw(st.permutations(forbidden)), copies
+
+
+@given(case=slot_counts())
+@settings(max_examples=300, deadline=None)
+def test_assign_slots_agrees_with_maximum_matching(nx, case):
+    forbidden, copies = case
+    ref = nx.Graph()
+    slots = [("slot", i) for i in range(len(forbidden))]
+    ref.add_nodes_from(slots)
+    for pair, count in copies.items():
+        for c in range(count):
+            ref.add_node(("copy", pair, c))
+            for i, bad in enumerate(forbidden):
+                if bad != pair:
+                    ref.add_edge(("slot", i), ("copy", pair, c))
+    matching = nx.bipartite.maximum_matching(ref, top_nodes=slots)
+    if sum(1 for slot in slots if slot in matching) < len(forbidden):
+        with pytest.raises(InternalInconsistencyError):
+            _assign_slots(forbidden, copies)
+        return
+    assigned = _assign_slots(forbidden, copies)
+    assert len(assigned) == len(forbidden)
+    assert all(pair != bad for pair, bad in zip(assigned, forbidden))
+    used = Counter(assigned)
+    assert all(used[pair] <= copies[pair] for pair in used)
+
+
+def zigzag_paths(n):
+    """The n/2 zigzag Hamilton paths i, i+1, i-1, i+2, ... of K_n, n even."""
+    paths = []
+    for i in range(n // 2):
+        walk = [i]
+        for j in range(1, n // 2 + 1):
+            walk += [(i + j) % n, (i - j) % n]
+        paths.append(list(zip(walk[: n - 1], walk[1:n])))
+    return paths
+
+
+def test_c_stage1_stack_depth_does_not_grow_with_slots():
+    # fifteen empty classes each take one spare edge, then one special slot
+    # apiece.  The battery's Fraction comparison is the deepest call left:
+    # under pytest on CPython 3.11 it needs 18 frames by this count (C calls
+    # count toward the limit but not in inspect.stack); a matcher that
+    # recurses per slot needs 25.  The battery run first warms the ABC
+    # caches that comparison goes through.
+    g = build(12, 1, *zigzag_paths(12), k=21)
+    params = make_params(n=12, m=22, lam=1, mu=2, r=2, k=21)
+    assert check_c(g, params).ok
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+    try:
+        full, trace = enclose_in_mu_kn(g, params, "C", seed=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(1 for a in trace.actions if a.kind == "matching") == 15
+    assert check_a_prime(full, params).ok
+
+
+@pytest.mark.parametrize("mu, r, inputs", [(2, 2, 129), (3, 3, 201)])
+def test_c_stage1_exhaustive_n4(mu, r, inputs):
+    # every battery-C input at n=4, m=6 with five classes opens slots; r=3
+    # also gives plain slots
+    params = make_params(n=4, m=6, lam=1, mu=mu, r=r, k=5)
+    seen = 0
+    for g in enumerate_decompositions(4, 1, 5, dedup=True):
+        if not check_c(g, params).ok:
+            continue
+        seen += 1
+        full, trace = enclose_in_mu_kn(g, params, "C", seed=1)
+        assert any(a.kind == "matching" for a in trace.actions)
+        assert check_a_prime(full, params).ok
+        assert replay_trace(g, params, trace) == full
+    assert seen == inputs
 
 
 # ------------------------------------------------------------ color stepping

@@ -167,11 +167,6 @@ def test_two_edge_connected_matches_components_and_bridges(g):
     assert g.is_two_edge_connected_spanning() == expected
 
 
-@pytest.fixture(scope="module")
-def nx():
-    return pytest.importorskip("networkx")
-
-
 @given(g=multigraphs())
 @settings(max_examples=200)
 def test_bridges_and_two_edge_connectivity_match_networkx(nx, g):

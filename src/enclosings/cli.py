@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .conditions import EnclosureParams, check_regime, make_params, pick_regime
 from .decomp import Decomposition, Enclosing, is_admissible, verify_enclosing
-from .detach import build_amalgamated_triad, fair_detach, verify_detachment
+from .detach import build_amalgamated_triad, fair_detach
 from .errors import (
     BudgetExhaustedError,
     CapExceededError,
@@ -52,23 +51,8 @@ EXIT_INTERNAL = 5
 DEFAULT_BUDGET = 10_000_000
 
 
-def default_budget() -> int:
-    env = os.environ.get("ENCLOSE_BUDGET")
-    if env:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise InstanceFormatError(f"ENCLOSE_BUDGET must be an integer, got {env!r}")
-        if budget < 1:
-            raise InstanceFormatError(f"ENCLOSE_BUDGET must be >= 1, got {budget}")
-        return budget
-    return DEFAULT_BUDGET
-
-
 def _budget(args) -> int:
-    """The --budget flag, else default_budget(); below 1 is an input error."""
-    if args.budget is None:
-        return default_budget()
+    """The --budget flag; below 1 is an input error."""
     if args.budget < 1:
         raise InstanceFormatError(f"--budget must be >= 1, got {args.budget}")
     return args.budget
@@ -334,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--mu", type=int, required=True)
     p_enc.add_argument("--r", type=int, required=True)
     p_enc.add_argument("--seed", type=int, default=0)
-    p_enc.add_argument("--budget", type=int, default=None)
+    p_enc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_enc.add_argument("--out", default=None)
     p_enc.add_argument("--trace-out", dest="trace_out", default=None)
     p_enc.set_defaults(func=cmd_enclose)
@@ -350,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("--m", type=int, required=True)
     p_orc.add_argument("--mu", type=int, required=True)
     p_orc.add_argument("--r", type=int, required=True)
-    p_orc.add_argument("--budget", type=int, default=None)
+    p_orc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_orc.add_argument("--out", default=None)
     p_orc.set_defaults(func=cmd_oracle)
 

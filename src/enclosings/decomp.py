@@ -84,11 +84,11 @@ def class_admissibility_violation(
 ) -> AdmissibilityViolation | None:
     """First violation of the three admissibility bullets in one class, or
     None.  Deterministic: bullets in order, vertices ascending, components by
-    smallest vertex, bridges sorted."""
+    smallest vertex, leaf blocks by smallest vertex."""
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
 
-    degrees = [cls.degree(v) for v in range(cls.vertex_count)]
+    degrees = cls.degrees()
     for v, deg in enumerate(degrees):
         if deg > r:
             return AdmissibilityViolation(
@@ -108,27 +108,29 @@ def class_admissibility_violation(
                 component=comp,
             )
 
-    comp_of = {}
-    for comp in components:
-        for v in comp:
-            comp_of[v] = comp
-    for u, v in sorted(cls.bridges()):
-        reduced = cls.copy()
-        reduced.remove_edge(u, v)
-        sides = {w: side for side in reduced.components() for w in side}
-        for endpoint in (u, v):
-            side = sides[endpoint]
-            # degrees are measured in the class, bridge included
-            side_ok = any(degrees[w] <= r - 1 for w in side)
-            if not side_ok:
-                return AdmissibilityViolation(
-                    class_index,
-                    3,
-                    f"cutedge {(u, v)} of component {comp_of[u]} leaves a side "
-                    f"with no vertex of degree <= {r - 1}",
-                    component=comp_of[u],
-                    edge=(u, v),
-                )
+    # Without its bridges the class falls into blocks, the nodes of a forest
+    # whose edges are the bridges.  Cutting one bridge leaves a leaf block
+    # (one that meets a single bridge) on each side, so both sides of every
+    # cutedge hold a vertex of degree <= r-1 exactly when every leaf does.
+    bridges = cls.bridges()
+    ends = [0] * cls.vertex_count
+    for bridge in bridges:
+        for v in bridge:
+            ends[v] += 1
+    kept = {pair: mult for pair, mult in cls.edges.items() if pair not in bridges}
+    for block in Multigraph(cls.vertex_count, kept).components():
+        # degrees are measured in the class, bridge included
+        if sum(ends[v] for v in block) == 1 and all(degrees[v] >= r for v in block):
+            u, v = next(e for e in bridges if e[0] in block or e[1] in block)
+            comp = next(c for c in components if u in c)
+            return AdmissibilityViolation(
+                class_index,
+                3,
+                f"cutedge {(u, v)} of component {comp} leaves a side "
+                f"with no vertex of degree <= {r - 1}",
+                component=comp,
+                edge=(u, v),
+            )
     return None
 
 
@@ -176,8 +178,7 @@ def verify_enclosing(inner: Decomposition, outer: Enclosing, params) -> tuple[bo
     except ValueError as exc:
         problems.append(str(exc))
     for i, cls in enumerate(outer.outer.classes):
-        degs = [cls.degree(v) for v in range(m)]
-        if any(deg != r for deg in degs):
+        if any(deg != r for deg in cls.degrees()):
             problems.append(f"class {i} is not {r}-regular on all {m} vertices")
         if not cls.is_two_edge_connected_spanning():
             problems.append(f"class {i} is not 2-edge-connected spanning")

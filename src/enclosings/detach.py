@@ -15,8 +15,8 @@ split vertex takes degree exactly r per color and multiplicity exactly mu to
 every other vertex, which become row/column sums of a small assignment
 matrix per split.  Each class is kept in one working multigraph, amalgam
 included, and a row moves amalgam edges onto the split vertex in place.
-The last vertex is what is left of the amalgam, so only the first m-n-1
-splits are searched.
+Split vertices are appended at n+1..m-1 and what is left of the amalgam
+stays vertex n, the forced last split, so only m-n-1 splits are searched.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ class _SplitSearch:
     `run` is one loop over the first m - n - 1 splits, each a backtracking
     search over its rows that is then committed and never revisited: a good
     state can always be completed, so a split with no solution is an internal
-    inconsistency.  What is left of the amalgam is then the last vertex: its
-    rows are forced, and the last split (or `is_good_triad`, when m = n + 1)
+    inconsistency.  What is left of the amalgam is then vertex n: its rows
+    are forced, and the last split (or `is_good_triad`, when m = n + 1)
     has already checked the classes they give.
     """
 
@@ -188,20 +188,12 @@ class _SplitSearch:
                         f"detachment search exceeded {self.budget} nodes"
                     )
                 raise InternalInconsistencyError(
-                    f"split of vertex {z - 1} has no solution; the good triad "
+                    f"split of vertex {z} has no solution; the good triad "
                     "guarantee says one exists"
                 )
             for g, row in zip(self.work, rows):
                 self._move(g, z, row)
-        # the amalgam becomes the last vertex, split vertex z becomes z - 1
-        label = [*range(n), m - 1, *range(n, m - 1)]
-        out = []
-        for g in self.work:
-            h = Multigraph(m)
-            for (u, v), mult in g.edges.items():
-                h.add_edge(label[u], label[v], mult)
-            out.append(h)
-        return out
+        return self.work
 
     def _move(self, g: Multigraph, z: int, row: list[int]) -> None:
         """Move row[v] of the amalgam's edges to v (loops, for v = n) onto z."""

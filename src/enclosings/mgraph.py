@@ -73,6 +73,15 @@ class Multigraph:
                 total += mult
         return total
 
+    def degrees(self) -> list[int]:
+        """Degree of every vertex from one pass over the edges; loops count
+        twice."""
+        out = [0] * self.vertex_count
+        for (a, b), mult in self.edges.items():
+            out[a] += mult
+            out[b] += mult
+        return out
+
     def edge_count(self) -> int:
         """Total number of edges; a loop counts as one edge."""
         return sum(self.edges.values())

@@ -376,16 +376,6 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, argv):
     assert not paths["enc"].exists()
 
 
-def test_env_budget_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ENCLOSE_BUDGET", "1")
-    path = write_instance(tmp_path)
-    code = cli.main([
-        "enclose", str(path), "--m", "5", "--mu", "2", "--r", "2",
-        "--out", str(tmp_path / "x.json"),
-    ])
-    assert code == 4
-
-
 @pytest.mark.parametrize("command", ["enclose", "oracle"])
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_budget_below_one_is_an_input_error(tmp_path, capsys, command, budget):
@@ -399,18 +389,6 @@ def test_budget_below_one_is_an_input_error(tmp_path, capsys, command, budget):
         capsys.readouterr().err
     )["error"]
     assert not (tmp_path / "x.json").exists()
-
-
-@pytest.mark.parametrize("command", ["enclose", "oracle"])
-def test_env_budget_below_one_is_an_input_error(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("ENCLOSE_BUDGET", "0")
-    path = write_instance(tmp_path)
-    code = cli.main([command, str(path), "--m", "5", "--mu", "2", "--r", "2",
-                     "--out", str(tmp_path / "x.json")])
-    assert code == 2
-    assert "ENCLOSE_BUDGET must be >= 1, got 0" in json.loads(
-        capsys.readouterr().err
-    )["error"]
 
 
 @pytest.mark.parametrize("error", [InternalInconsistencyError, RecursionError])

@@ -8,6 +8,7 @@ from enclosings.decomp import (
     Decomposition,
     Enclosing,
     admissibility_violation,
+    class_admissibility_violation,
     is_admissible,
     restrict,
     s_count,
@@ -16,6 +17,7 @@ from enclosings.decomp import (
 )
 from enclosings.conditions import make_params
 from enclosings.mgraph import Multigraph, complete_multigraph
+from enclosings.oracle import brute_force_admissible
 
 
 def classes_from(n, *edge_lists):
@@ -135,6 +137,84 @@ def test_cutedge_violation():
     assert violation is not None
     assert violation.bullet == 3
     assert violation.edge == (0, 3)
+
+
+def test_cutedge_violation_names_a_leaf_block():
+    # bridges (0,3) and (1,4) hang the leaves {0} and {1} off the block
+    # {3,4}; at r=3 only {1} (a loop plus its bridge) has no vertex of
+    # degree <= 2, so (1,4) is the cutedge reported, though the far side
+    # {1,3,4} of (0,3) has none either
+    g = Multigraph(5, {(0, 3): 1, (1, 1): 1, (1, 4): 1, (3, 4): 2})
+    violation = class_admissibility_violation(g, 3)
+    assert violation is not None
+    assert violation.bullet == 3
+    assert violation.edge == (1, 4)
+    assert violation.component == (0, 1, 3, 4)
+
+
+def test_cutedge_check_makes_no_copy_per_bridge(monkeypatch):
+    calls = {"components": 0, "copy": 0}
+    for name in calls:
+        def counting(self, _name=name, _inner=getattr(Multigraph, name)):
+            calls[_name] += 1
+            return _inner(self)
+        monkeypatch.setattr(Multigraph, name, counting)
+    path = Multigraph(12, {(v, v + 1): 1 for v in range(11)})
+    assert class_admissibility_violation(path, 2) is None
+    assert calls["components"] <= 2
+    assert calls["copy"] == 0
+
+
+# blocks of a bridge forest: (vertex count, edges, largest degree).  A leaf
+# block whose degrees all reach r has an odd degree sum r*|block|, so only
+# odd r and odd blocks (a loop, a triangle with a doubled side) reach bullet 3.
+BLOCKS = [
+    (1, [], 0),
+    (1, [(0, 0)], 2),
+    (2, [(0, 1), (0, 1)], 2),
+    (2, [(0, 1), (0, 1), (0, 1)], 3),
+    (3, [(0, 1), (1, 2), (0, 2)], 2),
+    (3, [(0, 1), (0, 1), (1, 2), (0, 2)], 3),
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 2),
+]
+
+
+@st.composite
+def bridged_blocks(draw):
+    """Blocks joined by single bridges into chains and trees (a forest when
+    a block has no vertex left below degree r), every degree <= r."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    fitting = [b for b in BLOCKS if b[2] <= r]
+    members = []
+    edges = []
+    for size, block, _ in draw(st.lists(st.sampled_from(fitting), min_size=1, max_size=6)):
+        start = sum(len(vs) for vs in members)
+        members.append(range(start, start + size))
+        edges += [(start + u, start + v) for u, v in block]
+    g = Multigraph(sum(len(vs) for vs in members))
+    for u, v in edges:
+        g.add_edge(u, v)
+    for i in range(1, len(members)):
+        j = draw(st.integers(min_value=0, max_value=i - 1))
+        ends = [[v for v in members[b] if g.degree(v) < r] for b in (i, j)]
+        if all(ends):
+            g.add_edge(*(draw(st.sampled_from(vs)) for vs in ends))
+    return g, r
+
+
+@given(bridged_blocks())
+@settings(max_examples=300)
+def test_cutedge_check_matches_reference_on_bridged_blocks(case):
+    g, r = case
+    violation = class_admissibility_violation(g, r)
+    assert (violation is None) == brute_force_admissible(Decomposition(g.copy(), (g,)), r)
+    if violation is not None and violation.bullet == 3:
+        # the named edge is a cutedge with a side of degrees >= r only
+        assert violation.edge in g.bridges()
+        cut = g.copy()
+        cut.remove_edge(*violation.edge)
+        sides = [c for c in cut.components() if set(c) & set(violation.edge)]
+        assert any(all(g.degree(v) >= r for v in side) for side in sides)
 
 
 def test_single_vertex_components_are_fine():

@@ -37,6 +37,7 @@ def test_degree_counts_loops_twice():
     g.add_edge(0, 1)
     assert g.degree(0) == 5
     assert g.degree(1) == 1
+    assert g.degrees() == [5, 1]
 
 
 def test_degree_isolated_and_k4():
@@ -123,6 +124,12 @@ def multigraphs(draw):
         mult = draw(st.integers(min_value=1, max_value=3))
         g.add_edge(u, v, mult)
     return g
+
+
+@given(multigraphs())
+@settings(max_examples=200)
+def test_degrees_match_degree(g):
+    assert g.degrees() == [g.degree(v) for v in range(g.vertex_count)]
 
 
 @given(multigraphs())

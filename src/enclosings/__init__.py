@@ -32,7 +32,6 @@ from .extend import (
 )
 from .detach import (
     DetachmentWitness,
-    Triad,
     build_amalgamated_triad,
     fair_detach,
     is_good_triad,
@@ -73,7 +72,6 @@ __all__ = [
     "enclose_in_mu_kn",
     "replay_trace",
     "DetachmentWitness",
-    "Triad",
     "build_amalgamated_triad",
     "fair_detach",
     "is_good_triad",

@@ -38,10 +38,6 @@ class EnclosureParams:
     k: int
     p: Fraction
 
-    @property
-    def p_is_integer(self) -> bool:
-        return self.p.denominator == 1
-
 
 def make_params(n: int, m: int, lam: int, mu: int, r: int, k: int) -> EnclosureParams:
     if min(n, m, lam, mu, r, k) < 1:

@@ -30,6 +30,11 @@ class Decomposition:
     def k(self) -> int:
         return len(self.classes)
 
+    @property
+    def decomposition(self) -> Decomposition:
+        """Itself: the benchmark's traced run reads `triad.decomposition`."""
+        return self
+
     def validate_partition(self) -> None:
         """Check the classes' per-pair multiplicities sum to the base."""
         total: dict[tuple[int, int], int] = {}

@@ -2,13 +2,15 @@
 target into one amalgam vertex carrying loops, then split them back out one
 at a time.
 
-The amalgamated triad built from an admissible decomposition of mu*K_n with
-large-enough classes is "good": every class is 2-edge-connected spanning and
-every vertex v has class degree >= 2g(v).  Goodness is exactly the invariant
-that survives splitting one vertex off the amalgam, and every good state can
-be completed, so the search is one loop over the splits: it backtracks only
-inside a split, until the reduced state is good again, and never revisits an
-accepted split.
+The amalgamated decomposition (the triad) is a plain decomposition on n+1
+vertices: the amalgam is vertex n and stands for m-n vertices.  Built from
+an admissible decomposition of mu*K_n with large-enough classes it is
+"good": every class is 2-edge-connected spanning, with class degree >= 2 at
+every vertex below n and >= 2(m-n) at the amalgam.  Goodness is exactly the
+invariant that survives splitting one vertex off the amalgam, and every good
+state can be completed, so the search is one loop over the splits: it
+backtracks only inside a split, until the reduced state is good again, and
+never revisits an accepted split.
 
 In this exact regime the fairness requirements collapse to equalities: each
 split vertex takes degree exactly r per color and multiplicity exactly mu to
@@ -17,6 +19,7 @@ matrix per split.  Each class is kept in one working multigraph, amalgam
 included, and a row moves amalgam edges onto the split vertex in place.
 Split vertices are appended at n+1..m-1 and what is left of the amalgam
 stays vertex n, the forced last split, so only m-n-1 splits are searched.
+Result vertex v is amalgamated into min(v, n).
 """
 
 from __future__ import annotations
@@ -36,25 +39,6 @@ from .errors import (
 from .mgraph import Multigraph, complete_multigraph
 
 
-@dataclass(frozen=True)
-class Triad:
-    """Per-vertex amalgamation sizes and a decomposition of a loops-allowed
-    multigraph, the decomposition's base."""
-
-    g: tuple[int, ...]
-    decomposition: Decomposition
-
-    def __post_init__(self):
-        graph = self.decomposition.base
-        if len(self.g) != graph.vertex_count:
-            raise ValueError("amalgamation sizes must cover every vertex")
-        if any(value < 1 for value in self.g):
-            raise ValueError("amalgamation sizes must be positive")
-        for v, value in enumerate(self.g):
-            if value == 1 and graph.loop_count(v) > 0:
-                raise ValueError(f"vertex {v} has size 1 but carries a loop")
-
-
 @dataclass
 class DetachStats:
     nodes: int = 0
@@ -64,95 +48,69 @@ class DetachStats:
 @dataclass(frozen=True)
 class DetachmentWitness:
     result: Decomposition
-    vertex_map: tuple[int, ...]  # result vertex -> triad vertex
     stats: DetachStats
 
 
-def build_amalgamated_triad(a: Decomposition, params: EnclosureParams) -> Triad:
+def build_amalgamated_triad(a: Decomposition, params: EnclosureParams) -> Decomposition:
     """Amalgamate the m-n future vertices into one vertex x0 = n.
 
     Per color i the amalgam carries |E(a_i)| - p loops and r - deg_i(x_j)
-    edges to each original vertex.  The construction forces four facts that
-    are asserted here: per-color degree r at each x_j and r(m-n) at x0,
-    multiplicity mu(m-n) on every (x0, x_j) pair, and mu(m-n)(m-n-1)/2
-    loops in total.
+    edges to each original vertex, which gives degree r at each x_j and
+    rn - 2p = r(m-n) at x0.  The base is built in closed form: mu*K_n, plus
+    mu(m-n) edges from x0 to each x_j, plus mu(m-n)(m-n-1)/2 loops at x0,
+    and the classes must partition it.
     """
     if params.m <= params.n:
         raise PreconditionError("nothing to detach: m must exceed n")
     report = check_a_prime(a, params)
     if not report.ok:
         raise PreconditionError(f"condition {report.first_failing()} fails")
-    n, m, mu, r = params.n, params.m, params.mu, params.r
+    n, mu, r = params.n, params.mu, params.r
+    s = params.m - n
     p = int(params.p)
     x0 = n
-    graph = Multigraph(n + 1)
     classes = []
     for i, cls in enumerate(a.classes):
-        tri_cls = Multigraph(n + 1)
-        for (u, v), mult in cls.edges.items():
-            tri_cls.add_edge(u, v, mult)
-            graph.add_edge(u, v, mult)
         loops = cls.edge_count() - p
         if loops < 0:
             raise InternalInconsistencyError(f"class {i} smaller than p")
-        if loops:
-            tri_cls.add_edge(x0, x0, loops)
-            graph.add_edge(x0, x0, loops)
-        for j in range(n):
-            missing = r - cls.degree(j)
-            if missing < 0:
+        tri_cls = Multigraph(n + 1, cls.edges)
+        tri_cls.add_edge(x0, x0, loops)
+        for j, d in enumerate(cls.degrees()):
+            if d > r:
                 raise InternalInconsistencyError(f"class {i} exceeds degree {r} at {j}")
-            if missing:
-                tri_cls.add_edge(x0, j, missing)
-                graph.add_edge(x0, j, missing)
+            tri_cls.add_edge(x0, j, r - d)
         classes.append(tri_cls)
 
-    triad = Triad(
-        g=tuple([1] * n + [m - n]),
-        decomposition=Decomposition(graph, tuple(classes)),
-    )
-
-    for i, cls in enumerate(triad.decomposition.classes):
-        for j in range(n):
-            if cls.degree(j) != r:
-                raise InternalInconsistencyError(
-                    f"class {i} degree at vertex {j} is {cls.degree(j)}, expected {r}"
-                )
-        if cls.degree(x0) != r * (m - n):
-            raise InternalInconsistencyError(
-                f"class {i} degree at amalgam is {cls.degree(x0)}, expected {r * (m - n)}"
-            )
+    base = Multigraph(n + 1, complete_multigraph(n, mu).edges)
     for j in range(n):
-        if graph.multiplicity(x0, j) != mu * (m - n):
-            raise InternalInconsistencyError(
-                f"amalgam multiplicity to {j} is {graph.multiplicity(x0, j)}, "
-                f"expected {mu * (m - n)}"
-            )
-    expected_loops = mu * (m - n) * (m - n - 1) // 2
-    if graph.loop_count(x0) != expected_loops:
-        raise InternalInconsistencyError(
-            f"amalgam carries {graph.loop_count(x0)} loops, expected {expected_loops}"
-        )
+        base.add_edge(x0, j, mu * s)
+    base.add_edge(x0, x0, mu * s * (s - 1) // 2)
+    triad = Decomposition(base, tuple(classes))
+    try:
+        triad.validate_partition()
+    except ValueError as exc:
+        raise InternalInconsistencyError(f"amalgamated {exc}") from exc
     return triad
 
 
-def is_good_triad(t: Triad) -> bool:
-    """Every class 2-edge-connected spanning with class degree >= 2g(v)
-    everywhere."""
-    for cls in t.decomposition.classes:
+def is_good_triad(t: Decomposition, params: EnclosureParams) -> bool:
+    """Every class 2-edge-connected spanning, with class degree >= 2 below
+    n and >= 2(m-n) at the amalgam n."""
+    need = [2] * params.n + [2 * (params.m - params.n)]
+    for cls in t.classes:
         if not cls.is_two_edge_connected_spanning():
             return False
-        for v in range(cls.vertex_count):
-            if cls.degree(v) < 2 * t.g[v]:
-                return False
+        if any(d < low for d, low in zip(cls.degrees(), need)):
+            return False
     return True
 
 
 class _SplitSearch:
     """Split the amalgam one vertex at a time.
 
-    Each class lives in one working multigraph on m vertices: the triad
-    class, with the amalgam at vertex n and each split vertex z appended at
+    Each class lives in one working multigraph: the amalgamated class, with
+    the amalgam at vertex n, grown by one vertex for each split vertex z =
     n+1, n+2, ...  The split of z picks one row per class: a count vector
     over the vertices below z, where row[v] amalgam-to-v edges become z-to-v
     edges and row[n] amalgam loops become z-to-amalgam edges.  Rows sum to r;
@@ -168,7 +126,7 @@ class _SplitSearch:
     has already checked the classes they give.
     """
 
-    def __init__(self, t: Triad, params: EnclosureParams, seed: int, budget: int):
+    def __init__(self, t: Decomposition, params: EnclosureParams, seed: int, budget: int):
         self.n = params.n
         self.m = params.m
         self.r = params.r
@@ -176,11 +134,12 @@ class _SplitSearch:
         self.budget = budget
         self.stats = DetachStats()
         self.rng = random.Random(seed) if seed else None
-        self.work = [Multigraph(self.m, cls.edges) for cls in t.decomposition.classes]
+        self.work = [cls.copy() for cls in t.classes]
 
     def run(self) -> list[Multigraph]:
         n, m = self.n, self.m
         for z in range(n + 1, m):
+            self.work = [Multigraph(z + 1, g.edges) for g in self.work]
             rows = self._split(z)
             if rows is None:
                 if self.stats.nodes >= self.budget:
@@ -192,23 +151,26 @@ class _SplitSearch:
                     "guarantee says one exists"
                 )
             for g, row in zip(self.work, rows):
-                self._move(g, z, row)
+                self._move(g, n, z, row)
         return self.work
 
-    def _move(self, g: Multigraph, z: int, row: list[int]) -> None:
-        """Move row[v] of the amalgam's edges to v (loops, for v = n) onto z."""
+    def _move(self, g: Multigraph, src: int, dst: int, row: list[int]) -> None:
+        """Move row[v] src-to-v edges onto dst-to-v; with src, dst the
+        amalgam and a split vertex (either way round), entry n turns amalgam
+        loops into split-to-amalgam edges or back."""
         for v, x in enumerate(row):
             if x:
-                g.remove_edge(self.n, v, x)
-                g.add_edge(z, v, x)
+                g.remove_edge(src, v, x)
+                g.add_edge(dst, v, x)
 
     def _rows(self, g: Multigraph, z: int, caps: list[int]) -> list[list[int]]:
         """Every row within `caps` that keeps class g 2-edge-connected
         spanning, in descending order over the columns with the amalgam
         last.  A row is a multiset of r amalgam neighbours, and
         combinations_with_replacement yields those multisets in exactly that
-        order.  Goodness is a per-class property, so filtering here means the
-        row search never needs a global goodness check."""
+        order.  Each row is tried on g itself and moved back.  Goodness is a
+        per-class property, so filtering here means the row search never
+        needs a global goodness check."""
         n = self.n
         neighbours = [v for v in range(z) if caps[v] and v != n]
         if caps[n]:
@@ -220,10 +182,10 @@ class _SplitSearch:
                 row[v] += 1
             if any(x > cap for x, cap in zip(row, caps)):
                 continue
-            candidate = g.induced(z + 1)
-            self._move(candidate, z, row)
-            if candidate.is_two_edge_connected_spanning():
+            self._move(g, n, z, row)
+            if g.is_two_edge_connected_spanning():
                 out.append(row)
+            self._move(g, z, n, row)
         if self.rng:
             self.rng.shuffle(out)
         return out
@@ -282,7 +244,7 @@ class _SplitSearch:
 
 
 def fair_detach(
-    t: Triad,
+    t: Decomposition,
     params: EnclosureParams,
     seed: int = 0,
     budget: int = 10_000_000,
@@ -291,7 +253,15 @@ def fair_detach(
     class is an r-regular 2-edge-connected spanning subgraph and every pair
     has multiplicity exactly mu.  A solution always exists for a good triad;
     running out of budget is reported as such, never as nonexistence."""
-    if not is_good_triad(t):
+    n = params.n
+    if params.m <= n or t.base.vertex_count != n + 1:
+        raise PreconditionError(
+            f"expected an amalgamated decomposition on n + 1 = {n + 1} vertices "
+            f"and m > n; got {t.base.vertex_count} vertices and m = {params.m}"
+        )
+    if any(t.base.multiplicity(v, v) for v in range(n)):
+        raise PreconditionError("only the amalgam may carry loops")
+    if not is_good_triad(t, params):
         raise PreconditionError("triad is not good; cannot detach")
     start = time.monotonic()
     search = _SplitSearch(t, params, seed, budget)
@@ -300,56 +270,39 @@ def fair_detach(
 
     result = Decomposition(complete_multigraph(params.m, params.mu), tuple(classes))
     result.validate_partition()
-    vertex_map = tuple(list(range(params.n)) + [params.n] * (params.m - params.n))
-    return DetachmentWitness(result=result, vertex_map=vertex_map, stats=search.stats)
+    return DetachmentWitness(result=result, stats=search.stats)
 
 
 def verify_detachment(
-    w: DetachmentWitness, t: Triad, params: EnclosureParams
+    w: DetachmentWitness, t: Decomposition, params: EnclosureParams
 ) -> tuple[bool, list[str]]:
     """Independent re-check of the detachment contract: color-preserving
-    edge correspondence, fiber sizes, exact class degrees, exact pair
-    multiplicities, and 2-edge-connectivity of every class."""
+    edge correspondence under v -> min(v, n), exact class degrees, exact
+    pair multiplicities, and 2-edge-connectivity of every class."""
     problems: list[str] = []
     n, m, mu, r = params.n, params.m, params.mu, params.r
-    phi = w.vertex_map
-    if len(phi) != m:
-        problems.append(f"vertex map covers {len(phi)} vertices, expected {m}")
+    if w.result.base.vertex_count != m:
+        problems.append(f"result has {w.result.base.vertex_count} vertices, expected {m}")
         return (False, problems)
-
-    fibers: dict[int, int] = {}
-    for image in phi:
-        fibers[image] = fibers.get(image, 0) + 1
-    for v in range(t.decomposition.base.vertex_count):
-        if fibers.get(v, 0) != t.g[v]:
-            problems.append(
-                f"fiber of triad vertex {v} has size {fibers.get(v, 0)}, "
-                f"expected {t.g[v]}"
-            )
-
-    if w.result.k != t.decomposition.k:
+    if w.result.k != t.k:
         problems.append("class counts differ between witness and triad")
         return (False, problems)
 
-    # color correspondence: per class, pushing result edges through phi must
-    # reproduce the triad class exactly
-    for i, (res_cls, tri_cls) in enumerate(
-        zip(w.result.classes, t.decomposition.classes)
-    ):
+    # color correspondence: per class, pushing result edges through
+    # v -> min(v, n) must reproduce the triad class exactly; u <= v keeps
+    # each pushed pair normalized
+    for i, (res_cls, tri_cls) in enumerate(zip(w.result.classes, t.classes)):
         pushed: dict[tuple[int, int], int] = {}
         for (u, v), mult in res_cls.edges.items():
-            a, b = phi[u], phi[v]
-            key = (a, b) if a <= b else (b, a)
+            key = (min(u, n), min(v, n))
             pushed[key] = pushed.get(key, 0) + mult
         if pushed != tri_cls.edges:
             problems.append(f"class {i} does not map onto the triad class")
 
     for i, cls in enumerate(w.result.classes):
-        for v in range(m):
-            if cls.degree(v) != r:
-                problems.append(
-                    f"class {i} degree at {v} is {cls.degree(v)}, expected {r}"
-                )
+        for v, d in enumerate(cls.degrees()):
+            if d != r:
+                problems.append(f"class {i} degree at {v} is {d}, expected {r}")
                 break
         if not cls.is_two_edge_connected_spanning():
             problems.append(f"class {i} is not 2-edge-connected spanning")

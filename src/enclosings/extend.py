@@ -240,7 +240,8 @@ def _color_rest(
     g are never recolored: a copy only moves where the class multiplicity
     exceeds g's.
     """
-    n, r, mu, lam, p = params.n, params.r, params.mu, params.lam, params.p
+    # every battery's divisibility entry makes r*m even, so p is integral
+    n, r, mu, lam, p = params.n, params.r, params.mu, params.lam, int(params.p)
     recolor = params.m == 2 * n - 2
     if recolor and pool.edges and not (2 * (r - 1) >= mu > lam):
         raise PreconditionError("recoloring step needs 2(r-1) >= mu > lambda")

@@ -86,9 +86,6 @@ class Multigraph:
         """Total number of edges; a loop counts as one edge."""
         return sum(self.edges.values())
 
-    def loop_count(self, v: int) -> int:
-        return self.edges.get((v, v), 0)
-
     def _neighbor_counts(self) -> list[dict[int, int]]:
         """Per vertex, {neighbor: multiplicity}; loops excluded."""
         nbrs: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]

@@ -146,18 +146,18 @@ def test_criterion_4_theorem_21_round_trip():
             continue
         passing += 1
         triad = build_amalgamated_triad(a, params)
-        assert is_good_triad(triad)
+        assert is_good_triad(triad, params)
         # the four derived facts, re-checked here independently
         x0 = 3
         p = int(params.p)
-        for i, cls in enumerate(triad.decomposition.classes):
-            assert cls.loop_count(x0) == a.classes[i].edge_count() - p
+        for i, cls in enumerate(triad.classes):
+            assert cls.multiplicity(x0, x0) == a.classes[i].edge_count() - p
             for j in range(3):
                 assert cls.degree(j) == params.r
             assert cls.degree(x0) == params.r * (params.m - params.n)
         for j in range(3):
-            assert triad.decomposition.base.multiplicity(x0, j) == params.mu * (params.m - params.n)
-        assert triad.decomposition.base.loop_count(x0) == (
+            assert triad.base.multiplicity(x0, j) == params.mu * (params.m - params.n)
+        assert triad.base.multiplicity(x0, x0) == (
             params.mu * (params.m - params.n) * (params.m - params.n - 1) // 2
         )
         witness = fair_detach(triad, params)

@@ -57,7 +57,7 @@ def test_make_params_rejects_bad_standing_assumptions():
 def test_make_params_fractional_p():
     params = make_params(3, 5, 1, 2, 3, 4)  # r*m odd, B1 fails anyway
     assert params.p == Fraction(3, 2)
-    assert not params.p_is_integer
+    assert params.p.denominator == 2
 
 
 def two_k3_paths():

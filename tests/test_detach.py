@@ -8,7 +8,6 @@ import pytest
 from enclosings.conditions import make_params
 from enclosings.decomp import Decomposition, Enclosing, restrict, verify_enclosing
 from enclosings.detach import (
-    Triad,
     build_amalgamated_triad,
     fair_detach,
     is_good_triad,
@@ -43,17 +42,17 @@ def test_build_triad_two_k3_derived_facts():
     a = two_k3_paths()
     triad = build_amalgamated_triad(a, params)
     x0 = 3
-    assert triad.g == (1, 1, 1, 1)
+    assert triad.base.vertex_count == 4
     # p = 2: each class has 2 edges, so no loops anywhere
-    assert triad.decomposition.base.loop_count(x0) == 0
+    assert triad.base.multiplicity(x0, x0) == 0
     # class 0 is the path 0-1-2 with degrees (1,2,1): amalgam edges (1,0,1)
-    cls0 = triad.decomposition.classes[0]
+    cls0 = triad.classes[0]
     assert cls0.multiplicity(x0, 0) == 1
     assert cls0.multiplicity(x0, 1) == 0
     assert cls0.multiplicity(x0, 2) == 1
     for j in range(3):
-        assert triad.decomposition.base.multiplicity(x0, j) == 2  # mu * (m - n)
-    for cls in triad.decomposition.classes:
+        assert triad.base.multiplicity(x0, j) == 2  # mu * (m - n)
+    for cls in triad.classes:
         assert cls.degree(x0) == 2  # r * (m - n)
 
 
@@ -80,21 +79,25 @@ def test_build_triad_rejects_failing_battery():
 def test_good_triad_detection():
     params = make_params(n=3, m=4, lam=2, mu=2, r=2, k=3)
     triad = build_amalgamated_triad(two_k3_paths(), params)
-    assert is_good_triad(triad)
+    assert is_good_triad(triad, params)
 
-    # a triad with a bridge class is not good
+    # a triad with a bridge class is not good: n = 1, the amalgam stands
+    # for one vertex
     graph = Multigraph(2)
     graph.add_edge(0, 1)
-    bad = Triad((1, 1), Decomposition(graph, (graph.copy(),)))
-    assert not is_good_triad(bad)
+    bad = Decomposition(graph, (graph.copy(),))
+    assert not is_good_triad(bad, make_params(n=1, m=2, lam=1, mu=1, r=2, k=1))
 
-    # degree below twice the amalgamation size is not good either:
-    # degree(1) = 3 + 2 = 5 < 2 * 3
+    # degree below twice what the amalgam stands for is not good either:
+    # the amalgam stands for m - n = 3 vertices, degree(1) = 3 + 2 = 5 < 2 * 3
     graph2 = Multigraph(2)
     graph2.add_edge(0, 1, 3)
     graph2.add_edge(1, 1, 1)
-    low = Triad((1, 3), Decomposition(graph2, (graph2.copy(),)))
-    assert not is_good_triad(low)
+    low = Decomposition(graph2, (graph2.copy(),))
+    assert graph2.is_two_edge_connected_spanning()
+    assert not is_good_triad(low, make_params(n=1, m=4, lam=1, mu=1, r=2, k=1))
+    # standing for two vertices, the same amalgam is good: 5 >= 2 * 2
+    assert is_good_triad(low, make_params(n=1, m=3, lam=1, mu=1, r=2, k=1))
 
 
 def test_fair_detach_two_k3_gives_three_four_cycles():
@@ -136,7 +139,7 @@ def test_fair_detach_2k3_into_2k5():
     a.validate_partition()
     params = make_params(n=3, m=5, lam=2, mu=2, r=2, k=4)
     triad = build_amalgamated_triad(a, params)
-    assert is_good_triad(triad)
+    assert is_good_triad(triad, params)
     witness = fair_detach(triad, params)
     ok, problems = verify_detachment(witness, triad, params)
     assert ok, problems
@@ -162,8 +165,10 @@ def test_fair_detach_budget_exhaustion():
 
 def test_fair_detach_stack_depth_does_not_grow_with_splits():
     # seven splits of thirteen classes: a search that recurses per row or
-    # per column, or nests splits inside one another, needs more than 15
-    # frames here
+    # per column, or nests splits inside one another, runs out of frames
+    # here.  The limit allows 15 frames above what inspect.stack counts,
+    # but under pytest the recursion depth already stands about 7 above
+    # that count, so the search has about 8 frames of headroom.
     params = make_params(n=7, m=14, lam=1, mu=2, r=2, k=13)
     g = random_admissible(7, 1, 13, 2, seed=1)
     full, _ = enclose_in_mu_kn(g, params, "B", seed=1)
@@ -191,7 +196,6 @@ def test_verify_detachment_flags_perturbation():
     cls0.add_edge(pair[0], other)
     bad = type(witness)(
         result=Decomposition(witness.result.base, tuple(tampered)),
-        vertex_map=witness.vertex_map,
         stats=witness.stats,
     )
     ok, problems = verify_detachment(bad, triad, params)
@@ -200,10 +204,31 @@ def test_verify_detachment_flags_perturbation():
 
 
 def test_triad_invariants():
+    # fair_detach refuses a loop below n and a decomposition that is not on
+    # n + 1 vertices; a loop at the amalgam is fine
+    params = make_params(n=1, m=4, lam=1, mu=1, r=2, k=1)
     graph = Multigraph(2)
     graph.add_edge(0, 0, 1)
-    with pytest.raises(ValueError, match="loop"):
-        Triad((1, 1), Decomposition(graph, (graph.copy(),)))
+    with pytest.raises(PreconditionError, match="loop"):
+        fair_detach(Decomposition(graph, (graph.copy(),)), params)
+    g3 = Multigraph(3)
+    g3.add_edge(0, 1, 2)
+    g3.add_edge(1, 2, 2)
+    with pytest.raises(PreconditionError, match="vertices"):
+        fair_detach(Decomposition(g3, (g3.copy(),)), params)
     g2 = Multigraph(2)
     g2.add_edge(0, 1, 2)
-    Triad((2, 3), Decomposition(g2, (g2.copy(),)))  # sizes above 1 are fine
+    g2.add_edge(1, 1, 1)
+    with pytest.raises(PreconditionError, match="not good"):
+        fair_detach(Decomposition(g2, (g2.copy(),)), params)
+
+
+def test_verify_detachment_reports_wrong_vertex_count():
+    params = make_params(n=3, m=4, lam=2, mu=2, r=2, k=3)
+    triad = build_amalgamated_triad(two_k3_paths(), params)
+    witness = fair_detach(triad, params)
+    # a result on m - 1 vertices is a problem to report, not an exception
+    short = type(witness)(result=restrict(witness.result, 3), stats=witness.stats)
+    ok, problems = verify_detachment(short, triad, params)
+    assert not ok
+    assert problems == ["result has 3 vertices, expected 4"]

@@ -110,7 +110,9 @@ def _deficiency_entry(
     """sum_{i=0}^{p} (p - i) * |S_i(g)|  <=  (mu - lambda) * n(n-1)/2,
     vacuous when p <= 0."""
     p = params.p
-    if p <= 0:
+    # the numerator has p's sign; an int comparison skips Fraction's
+    # numbers.Rational checks
+    if p.numerator <= 0:
         return (name, True, f"p = {p} <= 0, deficiency bound vacuous")
     lhs = sum((p - i) * s_count(g, i) for i in range(math.floor(p) + 1))
     rhs = Fraction((params.mu - params.lam) * params.n * (params.n - 1), 2)
@@ -124,7 +126,7 @@ def check_a_prime(a: Decomposition, params: EnclosureParams) -> ConditionReport:
     entries = [_divisibility_entry(params, "A1")]
     adm = is_admissible(a, params.r)
     entries.append(("A2", adm, f"{params.r}-admissible: {adm}"))
-    if params.p <= 0:
+    if params.p.numerator <= 0:
         entries.append(("A3", True, f"p = {params.p} <= 0, size bound vacuous"))
     else:
         smallest = min(a.class_sizes())

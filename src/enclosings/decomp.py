@@ -117,24 +117,31 @@ def class_admissibility_violation(
     # whose edges are the bridges.  Cutting one bridge leaves a leaf block
     # (one that meets a single bridge) on each side, so both sides of every
     # cutedge hold a vertex of degree <= r-1 exactly when every leaf does.
-    bridges = cls.bridges()
+    label, bridges = cls.blocks()
+    if not bridges:
+        return None
     ends = [0] * cls.vertex_count
     for bridge in bridges:
         for v in bridge:
-            ends[v] += 1
-    kept = {pair: mult for pair, mult in cls.edges.items() if pair not in bridges}
-    for block in Multigraph(cls.vertex_count, kept).components():
-        # degrees are measured in the class, bridge included
-        if sum(ends[v] for v in block) == 1 and all(degrees[v] >= r for v in block):
-            u, v = next(e for e in bridges if e[0] in block or e[1] in block)
+            ends[label[v]] += 1
+    # degrees are measured in the class, bridge included
+    full = [True] * cls.vertex_count
+    for v, deg in enumerate(degrees):
+        if deg < r:
+            full[label[v]] = False
+    # vertices ascending meet the blocks by smallest vertex
+    for v in range(cls.vertex_count):
+        block = label[v]
+        if ends[block] == 1 and full[block]:
+            u, w = next(e for e in bridges if block in (label[e[0]], label[e[1]]))
             comp = next(c for c in components if u in c)
             return AdmissibilityViolation(
                 class_index,
                 3,
-                f"cutedge {(u, v)} of component {comp} leaves a side "
+                f"cutedge {(u, w)} of component {comp} leaves a side "
                 f"with no vertex of degree <= {r - 1}",
                 component=comp,
-                edge=(u, v),
+                edge=(u, w),
             )
     return None
 

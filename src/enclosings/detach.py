@@ -20,13 +20,20 @@ included, and a row moves amalgam edges onto the split vertex in place.
 Split vertices are appended at n+1..m-1 and what is left of the amalgam
 stays vertex n, the forced last split, so only m-n-1 splits are searched.
 Result vertex v is amalgamated into min(v, n).
+
+A row keeps its class 2-edge-connected exactly when it leaves two
+edge-disjoint paths between the split vertex and the amalgam: identifying
+the two gives back the class before the split, which is 2-edge-connected,
+so only the cuts between them can fall below two edges.  `candidate_rows`
+counts those paths on one bridge forest per class per split, the class
+without the amalgam, so no row is moved or checked on the graph itself.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .conditions import EnclosureParams, check_a_prime
@@ -39,10 +46,24 @@ from .errors import (
 from .mgraph import Multigraph, complete_multigraph
 
 
+@dataclass(frozen=True)
+class SplitRecord:
+    """One searched split: its vertex z, the search nodes it took, the
+    fewest and most candidate rows of any class, and the most classes that
+    held a row at once (k when the split was solved)."""
+
+    z: int
+    nodes: int
+    min_candidates: int
+    max_candidates: int
+    deepest: int
+
+
 @dataclass
 class DetachStats:
     nodes: int = 0
     wall_time: float = 0.0
+    splits: list[SplitRecord] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -106,6 +127,94 @@ def is_good_triad(t: Decomposition, params: EnclosureParams) -> bool:
     return True
 
 
+def candidate_rows(
+    g: Multigraph, n: int, z: int, r: int, caps: list[int]
+) -> list[list[int]]:
+    """Every row within `caps` that keeps class g 2-edge-connected spanning
+    once split vertex z takes it, in descending order over the columns with
+    the amalgam n last.  A row is a multiset of r amalgam neighbours, and
+    combinations_with_replacement yields those multisets in exactly that
+    order.
+
+    g must be 2-edge-connected spanning on 0..z-1, with z isolated: the
+    good-state invariant, which `is_good_triad` or the previous split has
+    checked.  Identifying z with n then gives back g, with the row's z-n
+    edges as loops, so only the cuts between z and n can fall below two
+    edges, and a row passes exactly when it leaves two edge-disjoint z-n
+    paths.  Those are row[n] direct edges plus what each tree C of F's
+    bridge forest carries, F being g without n: with Z row edges and A
+    remaining amalgam edges into C, C carries min(Z, A, 2), except 1 when Z
+    and A are both at least 2 and one bridge cuts the row's blocks off from
+    the amalgam's.  As each side of a bridge of F has an amalgam edge in g,
+    that happens exactly when the subtree spanning the row's blocks has one
+    bridge leaving it and all its amalgam edges are row edges.  Goodness is
+    a per-class property, so filtering here means the row search never
+    needs a global goodness check."""
+    label, bridges = g.blocks(n)
+    count = max(label) + 1
+    amalgam = [0] * count  # amalgam edges into each block
+    for v in range(z):
+        if v != n:
+            amalgam[label[v]] += g.multiplicity(v, n)
+    forest: list[list[int]] = [[] for _ in range(count)]
+    for u, v in bridges:
+        forest[label[u]].append(label[v])
+        forest[label[v]].append(label[u])
+    # root each tree at its first block: the tree, parent and depth of each
+    # block, and per tree the amalgam edges into it
+    tree = [-1] * count
+    parent = [-1] * count
+    depth = [0] * count
+    reach = [0] * count
+    for root in range(count):
+        if tree[root] < 0:
+            tree[root] = root
+            stack = [root]
+            while stack:
+                a = stack.pop()
+                reach[root] += amalgam[a]
+                for b in forest[a]:
+                    if tree[b] < 0:
+                        tree[b], parent[b], depth[b] = root, a, depth[a] + 1
+                        stack.append(b)
+
+    neighbours = [v for v in range(z) if caps[v] and v != n]
+    if caps[n]:
+        neighbours.append(n)
+    out = []
+    for combo in combinations_with_replacement(neighbours, r):
+        row = [0] * z
+        for v in combo:
+            row[v] += 1
+        if any(row[v] > caps[v] for v in combo):
+            continue
+        paths = row[n]
+        into: dict[int, int] = {}  # row edges into each tree
+        for v in combo:
+            if v != n:
+                t = tree[label[v]]
+                into[t] = into.get(t, 0) + 1
+        for t, zc in into.items():
+            ac = reach[t] - zc
+            paths += min(zc, ac, 2)
+            if zc >= 2 and ac >= 2:
+                # walk the deepest tip up until the tips meet: the blocks
+                # walked span the row's blocks in the tree
+                tips = {label[v] for v in combo if v != n and tree[label[v]] == t}
+                span = set(tips)
+                while len(tips) > 1:
+                    b = max(tips, key=depth.__getitem__)
+                    tips.remove(b)
+                    tips.add(parent[b])
+                    span.add(parent[b])
+                leaving = sum(len(forest[b]) for b in span) - 2 * (len(span) - 1)
+                if leaving == 1 and sum(amalgam[b] for b in span) == zc:
+                    paths -= 1
+        if paths >= 2:
+            out.append(row)
+    return out
+
+
 class _SplitSearch:
     """Split the amalgam one vertex at a time.
 
@@ -143,8 +252,12 @@ class _SplitSearch:
             rows = self._split(z)
             if rows is None:
                 if self.stats.nodes >= self.budget:
+                    stalled = self.stats.splits[-1]
                     raise BudgetExhaustedError(
-                        f"detachment search exceeded {self.budget} nodes"
+                        f"detachment search exceeded {self.budget} nodes in the "
+                        f"split of vertex {z}, {stalled.nodes} of them there; at "
+                        f"most {stalled.deepest} of {len(self.work)} classes held "
+                        "a row at once"
                     )
                 raise InternalInconsistencyError(
                     f"split of vertex {z} has no solution; the good triad "
@@ -163,33 +276,6 @@ class _SplitSearch:
                 g.remove_edge(src, v, x)
                 g.add_edge(dst, v, x)
 
-    def _rows(self, g: Multigraph, z: int, caps: list[int]) -> list[list[int]]:
-        """Every row within `caps` that keeps class g 2-edge-connected
-        spanning, in descending order over the columns with the amalgam
-        last.  A row is a multiset of r amalgam neighbours, and
-        combinations_with_replacement yields those multisets in exactly that
-        order.  Each row is tried on g itself and moved back.  Goodness is a
-        per-class property, so filtering here means the row search never
-        needs a global goodness check."""
-        n = self.n
-        neighbours = [v for v in range(z) if caps[v] and v != n]
-        if caps[n]:
-            neighbours.append(n)
-        out = []
-        for combo in combinations_with_replacement(neighbours, self.r):
-            row = [0] * z
-            for v in combo:
-                row[v] += 1
-            if any(x > cap for x, cap in zip(row, caps)):
-                continue
-            self._move(g, n, z, row)
-            if g.is_two_edge_connected_spanning():
-                out.append(row)
-            self._move(g, z, n, row)
-        if self.rng:
-            self.rng.shuffle(out)
-        return out
-
     def _split(self, z: int) -> list[list[int]] | None:
         """One row per class for the split of vertex z, or None when the
         budget ran out or no assignment exists."""
@@ -200,11 +286,15 @@ class _SplitSearch:
             [min(g.multiplicity(n, v), d) for v, d in enumerate(demand)]
             for g in self.work
         ]
-        candidates = [self._rows(g, z, c) for g, c in zip(self.work, caps)]
-        if not all(candidates):
-            return None
+        candidates = [
+            candidate_rows(g, n, z, self.r, c) for g, c in zip(self.work, caps)
+        ]
+        if self.rng:
+            for cand in candidates:
+                self.rng.shuffle(cand)
+        counts = [len(c) for c in candidates]
 
-        order = sorted(range(k), key=lambda i: len(candidates[i]))
+        order = sorted(range(k), key=lambda i: counts[i])
         # room[pos]: what the rows from position pos on can still give each
         # column; caps stay fixed within a split
         room = [[0] * z]
@@ -213,30 +303,37 @@ class _SplitSearch:
         room.reverse()
 
         # left[pos]: what the rows from position pos on must still give;
-        # tried[pos]: how many of its candidates position pos has tried
+        # tried[pos]: how many of its candidates position pos has tried.
+        # The search ends at pos = k (solved), at pos = -1 (no assignment;
+        # at once when a class has no candidate) or on the budget.
         left = [demand]
         tried = [0] * k
-        pos = 0
-        while pos < k:
+        start = self.stats.nodes
+        pos = 0 if all(counts) else -1
+        deepest = 0
+        while 0 <= pos < k:
             cand = candidates[order[pos]]
-            while tried[pos] < len(cand):
-                row = cand[tried[pos]]
-                tried[pos] += 1
-                self.stats.nodes += 1
-                if self.stats.nodes >= self.budget:
-                    return None
-                rest = [d - x for d, x in zip(left[pos], row)]
-                if all(0 <= d <= a for d, a in zip(rest, room[pos + 1])):
-                    left.append(rest)
-                    pos += 1
-                    break
-            else:
+            if tried[pos] == len(cand):
                 # every candidate at pos failed: step back one position
-                if pos == 0:
-                    return None
                 tried[pos] = 0
                 left.pop()
                 pos -= 1
+                continue
+            row = cand[tried[pos]]
+            tried[pos] += 1
+            self.stats.nodes += 1
+            if self.stats.nodes >= self.budget:
+                break
+            rest = [d - x for d, x in zip(left[pos], row)]
+            if all(0 <= d <= a for d, a in zip(rest, room[pos + 1])):
+                left.append(rest)
+                pos += 1
+                deepest = max(deepest, pos)
+        self.stats.splits.append(SplitRecord(
+            z, self.stats.nodes - start, min(counts), max(counts), deepest
+        ))
+        if pos < k:
+            return None
         chosen: list[list[int]] = [[]] * k
         for pos, i in enumerate(order):
             chosen[i] = candidates[i][tried[pos] - 1]

@@ -245,16 +245,24 @@ def _color_rest(
     recolor = params.m == 2 * n - 2
     if recolor and pool.edges and not (2 * (r - 1) >= mu > lam):
         raise PreconditionError("recoloring step needs 2(r-1) >= mu > lambda")
+    # class degrees, kept here so that a class the edge would take above
+    # degree r (bullet 1) is skipped without running the predicate
+    degrees = [cls.degrees() for cls in classes]
     while pool.edges:
-        edge = min(pool.edges)
+        x, y = edge = min(pool.edges)
         for i in sorted(range(len(classes)), key=lambda j: classes[j].edge_count() >= p):
+            deg = degrees[i]
+            if deg[x] >= r or deg[y] >= r:
+                continue
             cls = classes[i]
-            cls.add_edge(*edge)
+            cls.add_edge(x, y)
             if class_admissibility_violation(cls, r, i) is None:
-                pool.remove_edge(*edge)
+                pool.remove_edge(x, y)
+                deg[x] += 1
+                deg[y] += 1
                 trace.record("color", edge, i)
                 break
-            cls.remove_edge(*edge)
+            cls.remove_edge(x, y)
         else:
             if not recolor:
                 raise InternalInconsistencyError(
@@ -262,6 +270,7 @@ def _color_rest(
                     "when r*k = mu*(m-1) and m >= 2n-1"
                 )
             _unblock(edge, classes, pool, g, r, trace)
+            degrees = [cls.degrees() for cls in classes]
 
 
 def _unblock(

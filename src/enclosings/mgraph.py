@@ -86,11 +86,12 @@ class Multigraph:
         """Total number of edges; a loop counts as one edge."""
         return sum(self.edges.values())
 
-    def _neighbor_counts(self) -> list[dict[int, int]]:
-        """Per vertex, {neighbor: multiplicity}; loops excluded."""
+    def _neighbor_counts(self, without: int = -1) -> list[dict[int, int]]:
+        """Per vertex, {neighbor: multiplicity}; loops and the edges at
+        vertex `without` excluded."""
         nbrs: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]
         for (a, b), mult in self.edges.items():
-            if a != b:
+            if a != b and a != without and b != without:
                 nbrs[a][b] = mult
                 nbrs[b][a] = mult
         return nbrs
@@ -116,20 +117,30 @@ class Multigraph:
             comps.append(tuple(sorted(comp)))
         return comps
 
-    def _low_link(self, roots: range | tuple[int]) -> tuple[int, set[tuple[int, int]]]:
-        """Iterative low-link DFS (Tarjan 1974) from each unvisited root;
-        returns (vertices reached, bridges).  The tree edge to the parent is
-        a back edge only when it has a parallel copy."""
-        nbrs = self._neighbor_counts()
+    def blocks(self, without: int = -1) -> tuple[list[int], set[tuple[int, int]]]:
+        """The 2-edge-connected components ("blocks") and the bridges of the
+        graph with vertex `without` and its edges left out.  Returns a block
+        id per vertex (-1 for `without`), ids in the order the blocks are
+        completed, and the bridges, which join the blocks into a forest.
+
+        One iterative low-link DFS (Tarjan 1974) from each unvisited vertex.
+        The tree edge to the parent is a back edge only when it has a
+        parallel copy.  A vertex whose subtree reaches no higher than itself
+        heads a block: it and every vertex found after it and not yet
+        labelled form the block, and its tree edge is a bridge."""
+        nbrs = self._neighbor_counts(without)
         disc = [-1] * self.vertex_count
         low = [0] * self.vertex_count
-        out: set[tuple[int, int]] = set()
-        reached = 0
-        for root in roots:
-            if disc[root] >= 0:
+        label = [-1] * self.vertex_count
+        bridges: set[tuple[int, int]] = set()
+        pending: list[int] = []
+        reached = done = 0
+        for root in range(self.vertex_count):
+            if disc[root] >= 0 or root == without:
                 continue
             disc[root] = low[root] = reached
             reached += 1
+            pending.append(root)
             stack = [(root, -1, iter(nbrs[root].items()))]
             while stack:
                 v, parent, todo = stack[-1]
@@ -137,32 +148,36 @@ class Multigraph:
                     if disc[w] < 0:
                         disc[w] = low[w] = reached
                         reached += 1
+                        pending.append(w)
                         stack.append((w, v, iter(nbrs[w].items())))
                         break
                     if (w != parent or mult >= 2) and disc[w] < low[v]:
                         low[v] = disc[w]
                 else:
                     stack.pop()
-                    if parent >= 0:
-                        if low[v] > disc[parent]:
-                            out.add(_norm(parent, v))
-                        elif low[v] < low[parent]:
-                            low[parent] = low[v]
-        return reached, out
+                    if low[v] == disc[v]:
+                        w = -1
+                        while w != v:
+                            w = pending.pop()
+                            label[w] = done
+                        done += 1
+                        if parent >= 0:
+                            bridges.add(_norm(parent, v))
+                    elif low[v] < low[parent]:
+                        low[parent] = low[v]
+        return label, bridges
 
     def bridges(self) -> set[tuple[int, int]]:
         """Pairs {u, v} of multiplicity exactly 1 whose removal disconnects
         their component.  Parallel classes of multiplicity >= 2 are never
         bridges; loops are never bridges."""
-        return self._low_link(range(self.vertex_count))[1]
+        return self.blocks()[1]
 
     def is_two_edge_connected_spanning(self) -> bool:
-        """Connected on all vertices and bridgeless.  A single vertex counts;
-        two or more vertices with any isolated vertex does not."""
-        if self.vertex_count <= 1:
-            return True
-        reached, bridges = self._low_link((0,))
-        return reached == self.vertex_count and not bridges
+        """Connected on all vertices and bridgeless, that is one block.  A
+        single vertex counts; two or more vertices with any isolated vertex
+        does not."""
+        return max(self.blocks()[0], default=0) == 0
 
     def induced(self, vertices: int) -> Multigraph:
         """Induced sub-multigraph on vertices 0..vertices-1."""

@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import inspect
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from enclosings import detach
 from enclosings.conditions import make_params
 from enclosings.decomp import Decomposition, Enclosing, restrict, verify_enclosing
 from enclosings.detach import (
+    SplitRecord,
     build_amalgamated_triad,
+    candidate_rows,
     fair_detach,
     is_good_triad,
     verify_detachment,
@@ -159,8 +165,35 @@ def test_fair_detach_budget_exhaustion():
         classes.append(g)
     a = Decomposition(base, tuple(classes))
     triad = build_amalgamated_triad(a, params)
-    with pytest.raises(BudgetExhaustedError):
+    # the one searched split is vertex 4; it takes 6 nodes, and with fewer
+    # the message says how many of the 4 classes the search gave a row
+    stalled = "split of vertex 4, {} of them there; at most {} of 4 classes"
+    with pytest.raises(BudgetExhaustedError, match=stalled.format(1, 0)):
         fair_detach(triad, params, budget=1)
+    with pytest.raises(BudgetExhaustedError, match=stalled.format(5, 3)):
+        fair_detach(triad, params, budget=5)
+    stats = fair_detach(triad, params, budget=7).stats
+    assert stats.splits == [
+        SplitRecord(z=4, nodes=6, min_candidates=2, max_candidates=2, deepest=4)
+    ]
+
+
+def test_fair_detach_records_every_searched_split():
+    params = make_params(n=7, m=14, lam=1, mu=2, r=2, k=13)
+    g = random_admissible(7, 1, 13, 2, seed=2)
+    full, _ = enclose_in_mu_kn(g, params, "B", seed=2)
+    triad = build_amalgamated_triad(full, params)
+    stats = fair_detach(triad, params, seed=2, budget=50000).stats
+    assert [rec.z for rec in stats.splits] == list(range(8, 14))
+    assert sum(rec.nodes for rec in stats.splits) == stats.nodes
+    for rec in stats.splits:
+        assert 1 <= rec.min_candidates <= rec.max_candidates
+        assert rec.deepest == 13
+    # a budget that runs out inside the split of vertex 10 names it
+    before = sum(rec.nodes for rec in stats.splits[:2])
+    stalled = r"split of vertex 10, \d+ of them there; at most \d+ of 13 classes"
+    with pytest.raises(BudgetExhaustedError, match=stalled):
+        fair_detach(triad, params, seed=2, budget=before + 3)
 
 
 def test_fair_detach_stack_depth_does_not_grow_with_splits():
@@ -232,3 +265,123 @@ def test_verify_detachment_reports_wrong_vertex_count():
     ok, problems = verify_detachment(short, triad, params)
     assert not ok
     assert problems == ["result has 3 vertices, expected 4"]
+
+
+def reference_rows(g, n, z, r, caps):
+    """The rows `candidate_rows` should give, found the direct way: move
+    each row onto z in a copy of g, check the class, move it back."""
+    work = g.copy()
+    neighbours = [v for v in range(z) if caps[v] and v != n]
+    neighbours += [n] if caps[n] else []
+    out = []
+    for combo in combinations_with_replacement(neighbours, r):
+        row = [0] * z
+        for v in combo:
+            row[v] += 1
+        if any(x > cap for x, cap in zip(row, caps)):
+            continue
+        for v, x in enumerate(row):
+            if x:
+                work.remove_edge(n, v, x)
+                work.add_edge(z, v, x)
+        if work.is_two_edge_connected_spanning():
+            out.append(row)
+        for v, x in enumerate(row):
+            if x:
+                work.remove_edge(z, v, x)
+                work.add_edge(n, v, x)
+    return out
+
+
+@st.composite
+def split_states(draw):
+    """A class before the split of vertex z: 2-edge-connected spanning on
+    0..z-1 (a closed walk through every vertex, plus random edges, loops
+    only at the amalgam n), z isolated, and caps within the amalgam's
+    multiplicities."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    z = draw(st.integers(min_value=2, max_value=7))
+    n = draw(st.integers(min_value=0, max_value=z - 1))
+    g = Multigraph(z + 1)
+    walk = draw(st.permutations(range(z)))
+    for u, v in zip(walk, walk[1:] + walk[:1]):
+        g.add_edge(u, v)
+    vertex = st.integers(min_value=0, max_value=z - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=8)):
+        if u != v:
+            g.add_edge(u, v)
+    for v in draw(st.lists(vertex, max_size=4)):
+        if v != n:
+            g.add_edge(v, n)
+    g.add_edge(n, n, draw(st.integers(min_value=0, max_value=3)))
+    caps = [
+        draw(st.integers(min_value=0, max_value=min(g.multiplicity(n, v), r)))
+        for v in range(z)
+    ]
+    return g, n, z, r, caps
+
+
+@given(split_states())
+@settings(max_examples=400)
+def test_candidate_rows_match_move_and_check(state):
+    g, n, z, r, caps = state
+    before = dict(g.edges)
+    assert candidate_rows(g, n, z, r, caps) == reference_rows(g, n, z, r, caps)
+    assert g.edges == before  # no row was moved onto g
+
+
+def test_candidate_rows_one_bridge_cuts_row_from_amalgam():
+    # F is the path 0 - 1; each end has two amalgam edges.  Two row edges
+    # into 0 leave one z-n path (over the bridge), into 0 and 1 two.
+    g = Multigraph(4)
+    g.add_edge(0, 1)
+    g.add_edge(0, 2, 2)
+    g.add_edge(1, 2, 2)
+    assert g.induced(3).is_two_edge_connected_spanning()
+    rows = candidate_rows(g, 2, 3, 2, [2, 2, 0])
+    assert rows == reference_rows(g, 2, 3, 2, [2, 2, 0]) == [[1, 1, 0]]
+
+
+def test_candidate_rows_two_bridges_leave_the_row():
+    # F is the path 0 - 1 - 2 and amalgam 3 has edges to 0, 2 and two to 1.
+    # Both row edges into 1 still leave two z-n paths, one over each bridge.
+    g = Multigraph(5)
+    g.add_edge(0, 1)
+    g.add_edge(1, 2)
+    g.add_edge(0, 3)
+    g.add_edge(2, 3)
+    g.add_edge(1, 3, 2)
+    assert g.induced(4).is_two_edge_connected_spanning()
+    rows = candidate_rows(g, 3, 4, 2, [1, 2, 1, 0])
+    assert rows == reference_rows(g, 3, 4, 2, [1, 2, 1, 0])
+    assert rows == [[1, 1, 0, 0], [1, 0, 1, 0], [0, 2, 0, 0], [0, 1, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "regime, n, m, r, k, seed",
+    [("B", 7, 14, 2, 13, s) for s in range(1, 6)]
+    + [("C", 8, 14, 2, 13, s) for s in range(1, 6)]
+    + [("T15", 8, 16, 3, 10, 1)],
+)
+def test_candidate_rows_match_reference_at_every_split(
+    monkeypatch, regime, n, m, r, k, seed
+):
+    params = make_params(n=n, m=m, lam=1, mu=2, r=r, k=k)
+    g = random_admissible(n, 1, k, r - 1 if regime == "T15" else r, seed=seed)
+    full, _ = enclose_in_mu_kn(g, params, regime, seed=seed)
+    triad = build_amalgamated_triad(full, params)
+    seen = []
+
+    def checked(g, n, z, r, caps):
+        rows = candidate_rows(g, n, z, r, caps)
+        assert rows == reference_rows(g, n, z, r, caps)
+        seen.append(z)
+        return rows
+
+    monkeypatch.setattr(detach, "candidate_rows", checked)
+    try:
+        fair_detach(triad, params, seed=seed, budget=50000)
+        last = m - 1
+    except BudgetExhaustedError:  # B seed 3 stalls in the split of vertex 12
+        last = max(seen)
+    assert sorted(set(seen)) == list(range(n + 1, last + 1))

@@ -193,6 +193,33 @@ def test_bridges_and_two_edge_connectivity_match_networkx(nx, g):
     )
 
 
+@given(g=multigraphs(), data=st.data())
+@settings(max_examples=200)
+def test_blocks_match_networkx(nx, g, data):
+    # the blocks of g without one vertex are the components left when that
+    # vertex and the bridges are removed
+    without = data.draw(st.integers(min_value=-1, max_value=g.vertex_count - 1))
+    ref = nx.MultiGraph()
+    ref.add_nodes_from(v for v in range(g.vertex_count) if v != without)
+    for (u, v), mult in g.edges.items():
+        if without not in (u, v):
+            for _ in range(mult):
+                ref.add_edge(u, v)
+    bridges = {tuple(sorted(edge)) for edge in nx.bridges(ref)}
+    ref.remove_edges_from(bridges)
+    label, found = g.blocks(without)
+    assert found == bridges
+    groups: dict[int, list[int]] = {}
+    for v, b in enumerate(label):
+        if v == without:
+            assert b == -1
+        else:
+            groups.setdefault(b, []).append(v)
+    assert sorted(groups.values()) == sorted(
+        sorted(c) for c in nx.connected_components(ref)
+    )
+
+
 def test_traversals_on_a_deep_cycle():
     # a 20 000-vertex cycle: far deeper than Python's recursion limit
     n = 20_000

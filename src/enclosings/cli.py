@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .conditions import EnclosureParams, check_regime, make_params, pick_regime
@@ -221,6 +222,7 @@ def cmd_enclose(args) -> int:
             "detachment": {
                 "nodes": witness.stats.nodes,
                 "wall_time": witness.stats.wall_time,
+                "splits": [asdict(rec) for rec in witness.stats.splits],
             },
         })
     except InstanceFormatError:

@@ -8,18 +8,23 @@ an admissible decomposition of mu*K_n with large-enough classes it is
 "good": every class is 2-edge-connected spanning, with class degree >= 2 at
 every vertex below n and >= 2(m-n) at the amalgam.  Goodness is exactly the
 invariant that survives splitting one vertex off the amalgam, and every good
-state can be completed, so the search is one loop over the splits: it
-backtracks only inside a split, until the reduced state is good again, and
-never revisits an accepted split.
+state can be completed, so detachment is one loop over the splits: each is
+solved on its own, committed, and never revisited.
 
 In this exact regime the fairness requirements collapse to equalities: each
 split vertex takes degree exactly r per color and multiplicity exactly mu to
-every other vertex, which become row/column sums of a small assignment
-matrix per split.  Each class is kept in one working multigraph, amalgam
-included, and a row moves amalgam edges onto the split vertex in place.
-Split vertices are appended at n+1..m-1 and what is left of the amalgam
-stays vertex n, the forced last split, so only m-n-1 splits are searched.
-Result vertex v is amalgamated into min(v, n).
+every other vertex.  So a split is an exact cover with multiplicities: each
+class takes exactly one of its candidate rows (how many amalgam edges to
+each vertex become split-vertex edges), column v needs exactly mu units and
+the amalgam's column mu times the vertices it still stands for.
+`solve_split` searches it without recursion, branching on whichever class
+or column has the fewest live rows and failing a node as soon as a column
+needs more than its unplaced classes can still give, so no split rests on
+the order of the classes or the seed.  Each class is kept in one working
+multigraph, amalgam included, and a row moves amalgam edges onto the split
+vertex in place.  Split vertices are appended at n+1..m-1 and what is left
+of the amalgam stays vertex n, the forced last split, so only m-n-1 splits
+are searched.  Result vertex v is amalgamated into min(v, n).
 
 A row keeps its class 2-edge-connected exactly when it leaves two
 edge-disjoint paths between the split vertex and the amalgam: identifying
@@ -28,6 +33,7 @@ so only the cuts between them can fall below two edges.  `candidate_rows`
 counts those paths on one bridge forest per class per split, the class
 without the amalgam, so no row is moved or checked on the graph itself.
 """
+
 
 from __future__ import annotations
 
@@ -49,14 +55,16 @@ from .mgraph import Multigraph, complete_multigraph
 @dataclass(frozen=True)
 class SplitRecord:
     """One searched split: its vertex z, the search nodes it took, the
-    fewest and most candidate rows of any class, and the most classes that
-    held a row at once (k when the split was solved)."""
+    fewest and most candidate rows of any class, the most classes that held
+    a row at once (k when the split was solved), and its wall seconds,
+    candidate rows included, which equality leaves out."""
 
     z: int
     nodes: int
     min_candidates: int
     max_candidates: int
     deepest: int
+    seconds: float = field(compare=False)
 
 
 @dataclass
@@ -127,14 +135,19 @@ def is_good_triad(t: Decomposition, params: EnclosureParams) -> bool:
     return True
 
 
+Row = tuple[tuple[int, int], ...]
+
+
 def candidate_rows(
-    g: Multigraph, n: int, z: int, r: int, caps: list[int]
-) -> list[list[int]]:
-    """Every row within `caps` that keeps class g 2-edge-connected spanning
-    once split vertex z takes it, in descending order over the columns with
-    the amalgam n last.  A row is a multiset of r amalgam neighbours, and
-    combinations_with_replacement yields those multisets in exactly that
-    order.
+    g: Multigraph, n: int, z: int, r: int, limit: list[int]
+) -> list[Row]:
+    """Every row that keeps class g 2-edge-connected spanning once split
+    vertex z takes it, with no entry above `limit` or above what the
+    amalgam n has at that column (its loops at column n).  A row is a
+    multiset of r amalgam neighbours, given sparse as ((v, x), ...) in
+    ascending column order with n last, and the rows come in the order
+    combinations_with_replacement yields the multisets: descending order
+    over the columns with n last.
 
     g must be 2-edge-connected spanning on 0..z-1, with z isolated: the
     good-state invariant, which `is_good_triad` or the previous split has
@@ -150,12 +163,18 @@ def candidate_rows(
     bridge leaving it and all its amalgam edges are row edges.  Goodness is
     a per-class property, so filtering here means the row search never
     needs a global goodness check."""
+    mult = [0] * z  # amalgam edges at each vertex below z, loops at n
+    for (u, v), x in g.edges.items():
+        if v == n:
+            mult[u] += x
+        elif u == n:
+            mult[v] += x
     label, bridges = g.blocks(n)
     count = max(label) + 1
     amalgam = [0] * count  # amalgam edges into each block
     for v in range(z):
         if v != n:
-            amalgam[label[v]] += g.multiplicity(v, n)
+            amalgam[label[v]] += mult[v]
     forest: list[list[int]] = [[] for _ in range(count)]
     for u, v in bridges:
         forest[label[u]].append(label[v])
@@ -178,29 +197,35 @@ def candidate_rows(
                         tree[b], parent[b], depth[b] = root, a, depth[a] + 1
                         stack.append(b)
 
+    caps = [min(a, b) for a, b in zip(mult, limit)]
     neighbours = [v for v in range(z) if caps[v] and v != n]
     if caps[n]:
         neighbours.append(n)
     out = []
     for combo in combinations_with_replacement(neighbours, r):
-        row = [0] * z
+        row: list[tuple[int, int]] = []  # equal neighbours are adjacent
         for v in combo:
-            row[v] += 1
-        if any(row[v] > caps[v] for v in combo):
+            if row and row[-1][0] == v:
+                row[-1] = (v, row[-1][1] + 1)
+            else:
+                row.append((v, 1))
+        if len(row) < r and any(x > caps[v] for v, x in row):
             continue
-        paths = row[n]
+        paths = 0
         into: dict[int, int] = {}  # row edges into each tree
-        for v in combo:
-            if v != n:
+        for v, x in row:
+            if v == n:
+                paths = x
+            else:
                 t = tree[label[v]]
-                into[t] = into.get(t, 0) + 1
+                into[t] = into.get(t, 0) + x
         for t, zc in into.items():
             ac = reach[t] - zc
             paths += min(zc, ac, 2)
             if zc >= 2 and ac >= 2:
                 # walk the deepest tip up until the tips meet: the blocks
                 # walked span the row's blocks in the tree
-                tips = {label[v] for v in combo if v != n and tree[label[v]] == t}
+                tips = {label[v] for v, _ in row if v != n and tree[label[v]] == t}
                 span = set(tips)
                 while len(tips) > 1:
                     b = max(tips, key=depth.__getitem__)
@@ -211,28 +236,213 @@ def candidate_rows(
                 if leaving == 1 and sum(amalgam[b] for b in span) == zc:
                     paths -= 1
         if paths >= 2:
-            out.append(row)
+            out.append(tuple(row))
     return out
+
+
+def solve_split(
+    candidates: list[list[Row]], demand: list[int], budget: int
+) -> tuple[list[Row] | None, int, int]:
+    """One row per class with column sums exactly `demand`, or None when no
+    such choice exists or the budget ran out.  Also returns the nodes spent,
+    one per row tried (the budget ran out exactly when they reach it), and
+    the most classes that held a row at once.  No entry of a candidate row
+    may exceed its column's demand; `candidate_rows` keeps to its limit.
+
+    This is an exact cover with multiplicities (Knuth, "Dancing Links",
+    2000: Algorithm X and its multiplicity form): class i needs exactly one
+    of candidates[i], column v exactly demand[v] units, and a row gives its
+    class one and column v its entry there.  A row is live while its class
+    has no row, its entries fit what their columns have left, and no earlier
+    sibling excluded it.  A class tries each of its live rows, and a column
+    with units left tries each live row that could give it its next unit,
+    excluding each from the later siblings once tried, so no choice of rows
+    is reached twice.  Each node branches on the item with the fewest
+    choices: a class has one per live row, and a column one per live row
+    beyond the units it still needs, plus one, since once its siblings have
+    excluded more rows than that, too few units are left to fill it from
+    rows that each give one (Knuth's branching degree for multiplicities).
+    Ties go to columns before classes, the highest column first: on B at
+    n = 16 and 20 (r = 2, seeds 1-30) no run then took over 3 638 nodes,
+    where classes first or the lowest column first left 3 or 4 of those
+    120 runs beyond 50 000.  A node fails when a class has no live row, or
+    when a column needs more than its supply: the sum over the unplaced
+    classes of the most any of their live rows gives it.  The search is one
+    loop over a stack of open nodes, and every change is undone from a
+    trail.
+    """
+    k, z = len(candidates), len(demand)
+    owner: list[int] = []
+    rows: list[Row] = []
+    by_class: list[range] = []
+    for i, cand in enumerate(candidates):
+        by_class.append(range(len(rows), len(rows) + len(cand)))
+        owner += [i] * len(cand)
+        rows += cand
+    width = max((x for row in rows for _, x in row), default=0) + 1
+    # by_column[v]: the rows with an entry at column v, in order;
+    # by_entry[v*width + x]: those whose entry there is x.
+    # tally[(i*z + v)*width + x]: live rows of class i giving x to column v;
+    # most[i*z + v]: the largest such x; supply[v]: the sum of most[i*z + v]
+    # over the classes, which is over the unplaced ones, as a placed class
+    # has no live row
+    by_column: list[list[int]] = [[] for _ in range(z)]
+    by_entry: list[list[int]] = [[] for _ in range(z * width)]
+    tally = [0] * (k * z * width)
+    most = [0] * (k * z)
+    supply = [0] * z
+    for j, row in enumerate(rows):
+        base = owner[j] * z
+        for v, x in row:
+            by_column[v].append(j)
+            by_entry[v * width + x].append(j)
+            tally[(base + v) * width + x] += 1
+            if x > most[base + v]:
+                supply[v] += x - most[base + v]
+                most[base + v] = x
+    live = [True] * len(rows)
+    class_live = [len(mine) for mine in by_class]
+    column_live = [len(col) for col in by_column]
+    placed = [False] * k
+    left = list(demand)
+    trail: list[int] = []  # j: row j died; ~j: row j was chosen
+    short: list[int] = []  # columns whose supply fell since the last check
+
+    def kill(j: int) -> None:
+        live[j] = False
+        trail.append(j)
+        class_live[owner[j]] -= 1
+        base = owner[j] * z
+        for v, x in rows[j]:
+            column_live[v] -= 1
+            at = (base + v) * width
+            tally[at + x] -= 1
+            if x == most[base + v] and not tally[at + x]:
+                y = x - 1
+                while y and not tally[at + y]:
+                    y -= 1
+                most[base + v] = y
+                supply[v] -= x - y
+                short.append(v)
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            j = trail.pop()
+            if j < 0:
+                j = ~j
+                placed[owner[j]] = False
+                for v, x in rows[j]:
+                    left[v] += x
+                continue
+            live[j] = True
+            class_live[owner[j]] += 1
+            base = owner[j] * z
+            for v, x in rows[j]:
+                column_live[v] += 1
+                tally[(base + v) * width + x] += 1
+                if x > most[base + v]:
+                    supply[v] += x - most[base + v]
+                    most[base + v] = x
+
+    def feasible() -> bool:
+        ok = all(left[v] <= supply[v] for v in short)
+        short.clear()
+        return ok
+
+    def choose(j: int) -> bool:
+        trail.append(~j)
+        placed[owner[j]] = True
+        for v, x in rows[j]:
+            left[v] -= x
+        for other in by_class[owner[j]]:
+            if live[other]:
+                kill(other)
+        for v, x in rows[j]:
+            # the rows that now give v more than it has left were live
+            for y in range(left[v] + 1, min(left[v] + x, width - 1) + 1):
+                for other in by_entry[v * width + y]:
+                    if live[other]:
+                        kill(other)
+        return feasible()
+
+    # per open node: the live rows it branches on, how many it has tried,
+    # the trail length when it opened and before its current row, and
+    # whether it branches on a column
+    frames: list[list] = []
+    nodes = deepest = 0
+    ok = all(d <= s for d, s in zip(left, supply))
+    while True:
+        if ok:
+            fewest, item = len(rows) + 1, -1
+            for v in range(z):
+                if left[v]:
+                    choices = max(column_live[v] - left[v], 0) + 1
+                    if choices <= fewest:
+                        fewest, item = choices, k + v
+            for i in range(k):
+                if not placed[i] and class_live[i] < fewest:
+                    fewest, item = class_live[i], i
+            if item < 0:
+                break  # every class has a row and every column its units
+            if item < k:
+                tries = [j for j in by_class[item] if live[j]]
+            else:
+                tries = [j for j in by_column[item - k] if live[j]]
+            frames.append([tries, 0, len(trail), len(trail), item >= k])
+        elif not frames:
+            return None, nodes, deepest
+        else:
+            # the row tried last at the top node failed: take it back, and
+            # at a column exclude it from the later siblings
+            tries, tried, opened, before, column = frames[-1]
+            undo(before)
+            if column:
+                kill(tries[tried - 1])
+                if not feasible():
+                    undo(opened)
+                    frames.pop()
+                    continue
+        frame = frames[-1]
+        tries, tried = frame[0], frame[1]
+        if tried == len(tries):
+            undo(frame[2])
+            frames.pop()
+            ok = False
+            continue
+        nodes += 1
+        if nodes >= budget:
+            return None, nodes, deepest
+        frame[1] = tried + 1
+        frame[3] = len(trail)
+        ok = choose(tries[tried])
+        if ok:
+            deepest = max(deepest, len(frames))
+    chosen: list[Row] = [()] * k
+    for tries, tried, *_ in frames:
+        j = tries[tried - 1]
+        chosen[owner[j]] = rows[j]
+    return chosen, nodes, deepest
 
 
 class _SplitSearch:
     """Split the amalgam one vertex at a time.
 
     Each class lives in one working multigraph: the amalgamated class, with
-    the amalgam at vertex n, grown by one vertex for each split vertex z =
-    n+1, n+2, ...  The split of z picks one row per class: a count vector
-    over the vertices below z, where row[v] amalgam-to-v edges become z-to-v
-    edges and row[n] amalgam loops become z-to-amalgam edges.  Rows sum to r;
-    column v sums to mu, and column n to mu times the number of vertices the
-    amalgam still stands for.  A row is a candidate when its class stays
-    2-edge-connected spanning.
+    the amalgam at vertex n, grown in place by one vertex for each split
+    vertex z = n+1, n+2, ...  The split of z picks one row per class: a
+    sparse count vector over the vertices below z, where row[v] amalgam-to-v
+    edges become z-to-v edges and row[n] amalgam loops become z-to-amalgam
+    edges.  Rows sum to r; column v sums to mu, and column n to mu times the
+    number of vertices the amalgam still stands for.  A row is a candidate
+    when its class stays 2-edge-connected spanning (`candidate_rows`), and
+    `solve_split` picks one candidate per class as an exact cover.
 
-    `run` is one loop over the first m - n - 1 splits, each a backtracking
-    search over its rows that is then committed and never revisited: a good
-    state can always be completed, so a split with no solution is an internal
-    inconsistency.  What is left of the amalgam is then vertex n: its rows
-    are forced, and the last split (or `is_good_triad`, when m = n + 1)
-    has already checked the classes they give.
+    `run` is one loop over the first m - n - 1 splits, each solved and then
+    committed and never revisited: a good state can always be completed, so
+    a split with no solution is an internal inconsistency.  What is left of
+    the amalgam is then vertex n: its rows are forced, and the last split
+    (or `is_good_triad`, when m = n + 1) has already checked the classes
+    they give.
     """
 
     def __init__(self, t: Decomposition, params: EnclosureParams, seed: int, budget: int):
@@ -248,7 +458,8 @@ class _SplitSearch:
     def run(self) -> list[Multigraph]:
         n, m = self.n, self.m
         for z in range(n + 1, m):
-            self.work = [Multigraph(z + 1, g.edges) for g in self.work]
+            for g in self.work:
+                g.vertex_count = z + 1  # z joins, isolated
             rows = self._split(z)
             if rows is None:
                 if self.stats.nodes >= self.budget:
@@ -264,80 +475,32 @@ class _SplitSearch:
                     "guarantee says one exists"
                 )
             for g, row in zip(self.work, rows):
-                self._move(g, n, z, row)
+                for v, x in row:
+                    g.remove_edge(n, v, x)
+                    g.add_edge(z, v, x)
         return self.work
 
-    def _move(self, g: Multigraph, src: int, dst: int, row: list[int]) -> None:
-        """Move row[v] src-to-v edges onto dst-to-v; with src, dst the
-        amalgam and a split vertex (either way round), entry n turns amalgam
-        loops into split-to-amalgam edges or back."""
-        for v, x in enumerate(row):
-            if x:
-                g.remove_edge(src, v, x)
-                g.add_edge(dst, v, x)
-
-    def _split(self, z: int) -> list[list[int]] | None:
+    def _split(self, z: int) -> list[Row] | None:
         """One row per class for the split of vertex z, or None when the
         budget ran out or no assignment exists."""
-        n, k = self.n, len(self.work)
+        start = time.monotonic()
         demand = [self.mu] * z
-        demand[n] = self.mu * (self.m - z)
-        caps = [
-            [min(g.multiplicity(n, v), d) for v, d in enumerate(demand)]
-            for g in self.work
-        ]
+        demand[self.n] = self.mu * (self.m - z)
         candidates = [
-            candidate_rows(g, n, z, self.r, c) for g, c in zip(self.work, caps)
+            candidate_rows(g, self.n, z, self.r, demand) for g in self.work
         ]
         if self.rng:
             for cand in candidates:
                 self.rng.shuffle(cand)
+        rows, nodes, deepest = solve_split(
+            candidates, demand, self.budget - self.stats.nodes
+        )
+        self.stats.nodes += nodes
         counts = [len(c) for c in candidates]
-
-        order = sorted(range(k), key=lambda i: counts[i])
-        # room[pos]: what the rows from position pos on can still give each
-        # column; caps stay fixed within a split
-        room = [[0] * z]
-        for i in reversed(order):
-            room.append([a + min(c, self.r) for a, c in zip(room[-1], caps[i])])
-        room.reverse()
-
-        # left[pos]: what the rows from position pos on must still give;
-        # tried[pos]: how many of its candidates position pos has tried.
-        # The search ends at pos = k (solved), at pos = -1 (no assignment;
-        # at once when a class has no candidate) or on the budget.
-        left = [demand]
-        tried = [0] * k
-        start = self.stats.nodes
-        pos = 0 if all(counts) else -1
-        deepest = 0
-        while 0 <= pos < k:
-            cand = candidates[order[pos]]
-            if tried[pos] == len(cand):
-                # every candidate at pos failed: step back one position
-                tried[pos] = 0
-                left.pop()
-                pos -= 1
-                continue
-            row = cand[tried[pos]]
-            tried[pos] += 1
-            self.stats.nodes += 1
-            if self.stats.nodes >= self.budget:
-                break
-            rest = [d - x for d, x in zip(left[pos], row)]
-            if all(0 <= d <= a for d, a in zip(rest, room[pos + 1])):
-                left.append(rest)
-                pos += 1
-                deepest = max(deepest, pos)
         self.stats.splits.append(SplitRecord(
-            z, self.stats.nodes - start, min(counts), max(counts), deepest
+            z, nodes, min(counts), max(counts), deepest, time.monotonic() - start
         ))
-        if pos < k:
-            return None
-        chosen: list[list[int]] = [[]] * k
-        for pos, i in enumerate(order):
-            chosen[i] = candidates[i][tried[pos] - 1]
-        return chosen
+        return rows
 
 
 def fair_detach(

@@ -3,7 +3,8 @@
 Vertices are dense integers 0..vertex_count-1.  Edges are stored as a map
 from normalized unordered pair (u, v) with u <= v to a positive
 multiplicity; u == v encodes loops.  Instances are treated as immutable by
-callers; search code mutates private copies via add_edge/remove_edge.
+callers; search code mutates private copies via add_edge/remove_edge, and
+may grow one by raising its vertex_count.
 `edges` is the only state: traversals derive a neighbor map from it per
 call, so no degree array or adjacency cache has to be kept in sync.
 """

@@ -180,6 +180,14 @@ def test_enclose_then_verify(tmp_path, capsys):
 
     trace_payload = json.loads(trace.read_text())
     assert "extension" in trace_payload and "detachment" in trace_payload
+    # m = 5 searches the split of vertex 4 only; vertex 3 is what is left
+    detachment = trace_payload["detachment"]
+    (split,) = detachment["splits"]
+    assert split["z"] == 4
+    assert split["nodes"] == detachment["nodes"]
+    assert split["deepest"] == 4
+    assert 1 <= split["min_candidates"] <= split["max_candidates"]
+    assert 0 < split["seconds"] <= detachment["wall_time"]
 
 
 def test_enclose_condition_failure_names_condition(tmp_path, capsys):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import inspect
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from enclosings.detach import (
     candidate_rows,
     fair_detach,
     is_good_triad,
+    solve_split,
     verify_detachment,
 )
 from enclosings.errors import BudgetExhaustedError, PreconditionError
@@ -165,17 +166,19 @@ def test_fair_detach_budget_exhaustion():
         classes.append(g)
     a = Decomposition(base, tuple(classes))
     triad = build_amalgamated_triad(a, params)
-    # the one searched split is vertex 4; it takes 6 nodes, and with fewer
-    # the message says how many of the 4 classes the search gave a row
+    # the one searched split is vertex 4; it takes 4 nodes, one per class,
+    # and with fewer the message says how many of the 4 classes held a row
     stalled = "split of vertex 4, {} of them there; at most {} of 4 classes"
     with pytest.raises(BudgetExhaustedError, match=stalled.format(1, 0)):
         fair_detach(triad, params, budget=1)
-    with pytest.raises(BudgetExhaustedError, match=stalled.format(5, 3)):
-        fair_detach(triad, params, budget=5)
-    stats = fair_detach(triad, params, budget=7).stats
-    assert stats.splits == [
-        SplitRecord(z=4, nodes=6, min_candidates=2, max_candidates=2, deepest=4)
-    ]
+    with pytest.raises(BudgetExhaustedError, match=stalled.format(4, 3)):
+        fair_detach(triad, params, budget=4)
+    stats = fair_detach(triad, params, budget=5).stats
+    # equality leaves the wall seconds out
+    assert stats.splits == [SplitRecord(
+        z=4, nodes=4, min_candidates=2, max_candidates=2, deepest=4, seconds=0.0
+    )]
+    assert stats.splits[0].seconds > 0
 
 
 def test_fair_detach_records_every_searched_split():
@@ -194,6 +197,98 @@ def test_fair_detach_records_every_searched_split():
     stalled = r"split of vertex 10, \d+ of them there; at most \d+ of 13 classes"
     with pytest.raises(BudgetExhaustedError, match=stalled):
         fair_detach(triad, params, seed=2, budget=before + 3)
+
+
+@pytest.mark.parametrize(
+    "regime, n, m, r, k, seed, nodes",
+    # criterion 6's shape, where seeds 18 and 90 took 2.3M and 765k nodes
+    [("T15", 8, 16, 3, 10, 18, 76), ("T15", 8, 16, 3, 10, 90, 82)]
+    # B at m = 2n and at m = 2n - 1, where some seeds exhausted 200k nodes
+    + [("B", 11, 22, 2, 21, s, c) for s, c in zip((1, 2, 3, 4), (256, 286, 278, 239))]
+    + [("B", 13, 26, 2, 25, s, c) for s, c in zip((1, 2, 3, 4), (416, 431, 400, 407))]
+    + [
+        ("B", 13, 25, 2, 24, s, c)
+        for s, c in zip((1, 2, 3, 4, 5), (414, 400, 370, 295, 382))
+    ]
+    # enclose-r2's pool input that exhausted 50k nodes in the split of vertex 12
+    + [("B", 7, 14, 2, 13, 3, 89)]
+    # these exhaust 50k nodes in their last searched split, the first when
+    # a column's choices are all its live rows, the second when ties go to
+    # classes and then to the lowest column
+    + [("B", 20, 40, 2, 39, 9, 1278), ("B", 20, 39, 2, 38, 1, 1131)],
+)
+def test_fair_detach_solves_splits_that_stalled(regime, n, m, r, k, seed, nodes):
+    params = make_params(n=n, m=m, lam=1, mu=2, r=r, k=k)
+    g = random_admissible(n, 1, k, r - 1 if regime == "T15" else r, seed=seed)
+    full, _ = enclose_in_mu_kn(g, params, regime, seed=seed)
+    triad = build_amalgamated_triad(full, params)
+    witness = fair_detach(triad, params, seed=seed, budget=50000)
+    assert witness.stats.nodes == nodes
+    ok, problems = verify_detachment(witness, triad, params)
+    assert ok, problems
+    ok, problems = verify_enclosing(g, Enclosing(witness.result, n), params)
+    assert ok, problems
+
+
+def column_sums(rows, z):
+    sums = [0] * z
+    for row in rows:
+        for v, x in row:
+            sums[v] += x
+    return sums
+
+
+@st.composite
+def split_instances(draw):
+    """A small split: up to 5 classes of up to 4 sparse candidate rows over
+    up to 5 columns, with demands planted from one row per class or drawn
+    at random, and no entry above its column's demand."""
+    z = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=5))
+    row = st.dictionaries(
+        st.integers(min_value=0, max_value=z - 1),
+        st.integers(min_value=1, max_value=3),
+        min_size=1,
+    ).map(lambda entries: tuple(sorted(entries.items())))
+    candidates = [draw(st.lists(row, max_size=4)) for _ in range(k)]
+    if all(candidates) and draw(st.booleans()):
+        demand = column_sums([draw(st.sampled_from(c)) for c in candidates], z)
+    else:
+        demand = draw(st.lists(st.integers(0, 4), min_size=z, max_size=z))
+    fits = [[row for row in c if all(x <= demand[v] for v, x in row)] for c in candidates]
+    return fits, demand
+
+
+@given(split_instances())
+@settings(max_examples=600)
+def test_solve_split_agrees_with_enumeration(instance):
+    candidates, demand = instance
+    z = len(demand)
+    rows, nodes, deepest = solve_split(candidates, demand, 10**6)
+    solvable = any(column_sums(c, z) == demand for c in product(*candidates))
+    assert (rows is not None) == solvable
+    assert nodes < 10**6
+    if rows is not None:
+        assert all(row in cand for row, cand in zip(rows, candidates))
+        assert column_sums(rows, z) == demand
+        assert deepest == len(candidates)
+    # a column that needs more than the classes can give fails at the root
+    supply = [0] * z
+    for cand in candidates:
+        for v in range(z):
+            supply[v] += max((x for row in cand for u, x in row if u == v), default=0)
+    if any(d > s for d, s in zip(demand, supply)):
+        assert nodes == 0
+
+
+def test_solve_split_excludes_rows_tried_at_a_column():
+    # one class, no solution.  Both columns have one choice, so the search
+    # branches on the higher, column 1, and tries ((1, 3),) first, which
+    # leaves column 0 nothing.  Excluding that row leaves column 1 a supply
+    # of 2 against a demand of 3, so the search stops after one node
+    # instead of trying ((0, 1), (1, 2)) as well.
+    candidates = [[((0, 2),), ((1, 3),), ((0, 1), (1, 2))]]
+    assert solve_split(candidates, [2, 3], 100) == (None, 1, 0)
 
 
 def test_fair_detach_stack_depth_does_not_grow_with_splits():
@@ -267,9 +362,10 @@ def test_verify_detachment_reports_wrong_vertex_count():
     assert problems == ["result has 3 vertices, expected 4"]
 
 
-def reference_rows(g, n, z, r, caps):
+def reference_rows(g, n, z, r, limit):
     """The rows `candidate_rows` should give, found the direct way: move
     each row onto z in a copy of g, check the class, move it back."""
+    caps = [min(g.multiplicity(n, v), cap) for v, cap in enumerate(limit)]
     work = g.copy()
     neighbours = [v for v in range(z) if caps[v] and v != n]
     neighbours += [n] if caps[n] else []
@@ -285,7 +381,8 @@ def reference_rows(g, n, z, r, caps):
                 work.remove_edge(n, v, x)
                 work.add_edge(z, v, x)
         if work.is_two_edge_connected_spanning():
-            out.append(row)
+            # sparse, in the combo's column order: ascending, n last
+            out.append(tuple((v, row[v]) for v in dict.fromkeys(combo)))
         for v, x in enumerate(row):
             if x:
                 work.remove_edge(z, v, x)
@@ -339,7 +436,7 @@ def test_candidate_rows_one_bridge_cuts_row_from_amalgam():
     g.add_edge(1, 2, 2)
     assert g.induced(3).is_two_edge_connected_spanning()
     rows = candidate_rows(g, 2, 3, 2, [2, 2, 0])
-    assert rows == reference_rows(g, 2, 3, 2, [2, 2, 0]) == [[1, 1, 0]]
+    assert rows == reference_rows(g, 2, 3, 2, [2, 2, 0]) == [((0, 1), (1, 1))]
 
 
 def test_candidate_rows_two_bridges_leave_the_row():
@@ -354,7 +451,7 @@ def test_candidate_rows_two_bridges_leave_the_row():
     assert g.induced(4).is_two_edge_connected_spanning()
     rows = candidate_rows(g, 3, 4, 2, [1, 2, 1, 0])
     assert rows == reference_rows(g, 3, 4, 2, [1, 2, 1, 0])
-    assert rows == [[1, 1, 0, 0], [1, 0, 1, 0], [0, 2, 0, 0], [0, 1, 1, 0]]
+    assert rows == [((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 2),), ((1, 1), (2, 1))]
 
 
 @pytest.mark.parametrize(
@@ -372,16 +469,12 @@ def test_candidate_rows_match_reference_at_every_split(
     triad = build_amalgamated_triad(full, params)
     seen = []
 
-    def checked(g, n, z, r, caps):
-        rows = candidate_rows(g, n, z, r, caps)
-        assert rows == reference_rows(g, n, z, r, caps)
+    def checked(g, n, z, r, limit):
+        rows = candidate_rows(g, n, z, r, limit)
+        assert rows == reference_rows(g, n, z, r, limit)
         seen.append(z)
         return rows
 
     monkeypatch.setattr(detach, "candidate_rows", checked)
-    try:
-        fair_detach(triad, params, seed=seed, budget=50000)
-        last = m - 1
-    except BudgetExhaustedError:  # B seed 3 stalls in the split of vertex 12
-        last = max(seen)
-    assert sorted(set(seen)) == list(range(n + 1, last + 1))
+    fair_detach(triad, params, seed=seed, budget=50000)
+    assert sorted(set(seen)) == list(range(n + 1, m))

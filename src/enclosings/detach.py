@@ -29,9 +29,13 @@ are searched.  Result vertex v is amalgamated into min(v, n).
 A row keeps its class 2-edge-connected exactly when it leaves two
 edge-disjoint paths between the split vertex and the amalgam: identifying
 the two gives back the class before the split, which is 2-edge-connected,
-so only the cuts between them can fall below two edges.  `candidate_rows`
-counts those paths on one bridge forest per class per split, the class
-without the amalgam, so no row is moved or checked on the graph itself.
+so only the cuts between them can fall below two edges.  Each class keeps
+one `BridgeForest`, the bridge forest of the class without the amalgam,
+built once when detachment starts; each committed split vertex joins it by
+linking trees or merging the blocks on a tree path, as the forest only
+grows.  `BridgeForest.candidate_rows` counts the paths on it, so no row is
+moved or checked on the graph itself, and a row with at most one edge into
+each tree passes without a count.
 """
 
 
@@ -138,106 +142,253 @@ def is_good_triad(t: Decomposition, params: EnclosureParams) -> bool:
 Row = tuple[tuple[int, int], ...]
 
 
-def candidate_rows(
-    g: Multigraph, n: int, z: int, r: int, limit: list[int]
-) -> list[Row]:
-    """Every row that keeps class g 2-edge-connected spanning once split
-    vertex z takes it, with no entry above `limit` or above what the
-    amalgam n has at that column (its loops at column n).  A row is a
-    multiset of r amalgam neighbours, given sparse as ((v, x), ...) in
-    ascending column order with n last, and the rows come in the order
-    combinations_with_replacement yields the multisets: descending order
-    over the columns with n last.
+def _find(up: list[int], v: int) -> int:
+    """The head of v's set in the union-find `up`, halving the path."""
+    while up[v] != v:
+        up[v] = up[up[v]]
+        v = up[v]
+    return v
 
-    g must be 2-edge-connected spanning on 0..z-1, with z isolated: the
-    good-state invariant, which `is_good_triad` or the previous split has
-    checked.  Identifying z with n then gives back g, with the row's z-n
-    edges as loops, so only the cuts between z and n can fall below two
-    edges, and a row passes exactly when it leaves two edge-disjoint z-n
-    paths.  Those are row[n] direct edges plus what each tree C of F's
-    bridge forest carries, F being g without n: with Z row edges and A
-    remaining amalgam edges into C, C carries min(Z, A, 2), except 1 when Z
-    and A are both at least 2 and one bridge cuts the row's blocks off from
-    the amalgam's.  As each side of a bridge of F has an amalgam edge in g,
-    that happens exactly when the subtree spanning the row's blocks has one
-    bridge leaving it and all its amalgam edges are row edges.  Goodness is
-    a per-class property, so filtering here means the row search never
-    needs a global goodness check."""
-    mult = [0] * z  # amalgam edges at each vertex below z, loops at n
-    for (u, v), x in g.edges.items():
-        if v == n:
-            mult[u] += x
-        elif u == n:
-            mult[v] += x
-    label, bridges = g.blocks(n)
-    count = max(label) + 1
-    amalgam = [0] * count  # amalgam edges into each block
-    for v in range(z):
-        if v != n:
-            amalgam[label[v]] += mult[v]
-    forest: list[list[int]] = [[] for _ in range(count)]
-    for u, v in bridges:
-        forest[label[u]].append(label[v])
-        forest[label[v]].append(label[u])
-    # root each tree at its first block: the tree, parent and depth of each
-    # block, and per tree the amalgam edges into it
-    tree = [-1] * count
-    parent = [-1] * count
-    depth = [0] * count
-    reach = [0] * count
-    for root in range(count):
-        if tree[root] < 0:
-            tree[root] = root
+
+class BridgeForest:
+    """The bridge forest of one class without the amalgam n, carried from
+    split to split.
+
+    F is the class on the vertices taken in so far, 0..z-1, without n.
+    Removing F's bridges leaves its blocks (2-edge-connected components),
+    and the bridges join the blocks into a forest.  A split only adds
+    vertex z and its edges to F, so blocks and trees only ever merge, which
+    is what on-line bridge-connectivity maintains (Westbrook and Tarjan,
+    "Maintaining bridge-connected and biconnected components on-line",
+    Algorithmica 1992).  Blocks and trees are union-find sets over the
+    vertices.  The head of a block holds its parent block in a rooted tree
+    (a block id, read through `_find`; -1 at a root), its bridge count and
+    its amalgam edges.  The head of a tree holds the tree's amalgam edges,
+    its reach.  `mult[v]` is the amalgam's multiplicity to v, its loops at
+    v = n.  Index n stands in every list but belongs to no block or tree.
+    """
+
+    __slots__ = ("n", "up", "parent", "bridges", "amalgam", "tree_up", "reach", "mult")
+
+    def __init__(self, g: Multigraph, n: int):
+        """The forest of class g on all its vertices, from one `g.blocks(n)`."""
+        z = g.vertex_count
+        self.n = n
+        self.mult = [0] * z
+        for (u, v), x in g.edges.items():
+            if v == n:
+                self.mult[u] += x
+            elif u == n:
+                self.mult[v] += x
+        label, bridges = g.blocks(n)
+        head: dict[int, int] = {}  # block label -> its first vertex
+        self.up = [head.setdefault(label[v], v) if v != n else v for v in range(z)]
+        self.parent = [-1] * z
+        self.bridges = [0] * z
+        self.amalgam = [0] * z
+        for v in range(z):
+            if v != n:
+                self.amalgam[self.up[v]] += self.mult[v]
+        forest: dict[int, list[int]] = {b: [] for b in head.values()}
+        for u, v in bridges:
+            a, b = self.up[u], self.up[v]
+            forest[a].append(b)
+            forest[b].append(a)
+            self.bridges[a] += 1
+            self.bridges[b] += 1
+        # root each tree at its first block; every vertex points at the root
+        self.tree_up = list(range(z))
+        self.reach = [0] * z
+        seen: set[int] = set()
+        for root in forest:
+            if root in seen:
+                continue
+            seen.add(root)
             stack = [root]
             while stack:
                 a = stack.pop()
-                reach[root] += amalgam[a]
+                self.tree_up[a] = root
+                self.reach[root] += self.amalgam[a]
                 for b in forest[a]:
-                    if tree[b] < 0:
-                        tree[b], parent[b], depth[b] = root, a, depth[a] + 1
+                    if b not in seen:
+                        seen.add(b)
+                        self.parent[b] = a
                         stack.append(b)
+        for v in range(z):
+            self.tree_up[v] = self.tree_up[self.up[v]]
 
-    caps = [min(a, b) for a, b in zip(mult, limit)]
-    neighbours = [v for v in range(z) if caps[v] and v != n]
-    if caps[n]:
-        neighbours.append(n)
-    out = []
-    for combo in combinations_with_replacement(neighbours, r):
-        row: list[tuple[int, int]] = []  # equal neighbours are adjacent
-        for v in combo:
-            if row and row[-1][0] == v:
-                row[-1] = (v, row[-1][1] + 1)
+    def block(self, v: int) -> int:
+        return _find(self.up, v)
+
+    def tree(self, v: int) -> int:
+        return _find(self.tree_up, v)
+
+    def take(self, row: Row) -> None:
+        """Take in the next vertex z once it has taken `row` from the
+        amalgam: row[v] amalgam edges at v become z-v edges, and row[n]
+        amalgam loops become z-n edges.  z joins as a block and tree of its
+        own holding row[n] amalgam edges.  Then each z-v edge either links
+        two trees, as a new bridge, or merges the blocks on the tree path
+        between z and v into one; a second parallel copy of a new bridge
+        merges its two ends."""
+        n, z = self.n, len(self.up)
+        xn = 0
+        for v, x in row:
+            self.mult[v] -= x
+            if v == n:
+                xn = x
             else:
-                row.append((v, 1))
-        if len(row) < r and any(x > caps[v] for v, x in row):
-            continue
-        paths = 0
-        into: dict[int, int] = {}  # row edges into each tree
+                self.amalgam[self.block(v)] -= x
+                self.reach[self.tree(v)] -= x
+        self.up.append(z)
+        self.parent.append(-1)
+        self.bridges.append(0)
+        self.amalgam.append(xn)
+        self.tree_up.append(z)
+        self.reach.append(xn)
+        self.mult.append(xn)
         for v, x in row:
             if v == n:
-                paths = x
-            else:
-                t = tree[label[v]]
-                into[t] = into.get(t, 0) + x
-        for t, zc in into.items():
-            ac = reach[t] - zc
-            paths += min(zc, ac, 2)
-            if zc >= 2 and ac >= 2:
-                # walk the deepest tip up until the tips meet: the blocks
-                # walked span the row's blocks in the tree
-                tips = {label[v] for v, _ in row if v != n and tree[label[v]] == t}
-                span = set(tips)
-                while len(tips) > 1:
-                    b = max(tips, key=depth.__getitem__)
-                    tips.remove(b)
-                    tips.add(parent[b])
-                    span.add(parent[b])
-                leaving = sum(len(forest[b]) for b in span) - 2 * (len(span) - 1)
-                if leaving == 1 and sum(amalgam[b] for b in span) == zc:
-                    paths -= 1
-        if paths >= 2:
-            out.append(tuple(row))
-    return out
+                continue
+            for _ in range(x):
+                tz, tv = self.tree(z), self.tree(v)
+                if tz != tv:
+                    self._link(self.block(z), self.block(v))
+                    self.tree_up[tz] = tv
+                    self.reach[tv] += self.reach[tz]
+                else:
+                    self._merge(self.block(z), self.block(v))
+
+    def _link(self, a: int, b: int) -> None:
+        """Join block a's tree under block b by a new bridge a-b, first
+        rerooting a's tree at a."""
+        parent, prev, c = self.parent, b, a
+        while c >= 0:
+            above = parent[c]
+            parent[c] = prev
+            prev, c = c, self.block(above) if above >= 0 else -1
+        self.bridges[a] += 1
+        self.bridges[b] += 1
+
+    def _merge(self, a: int, b: int) -> None:
+        """Merge the blocks on the tree path between blocks a and b, which
+        share a tree, into the block where the path meets, the highest on
+        it: the path's bridges lie on a cycle now."""
+        if a == b:
+            return
+        chain = [a]  # a and its ancestors, up to the root
+        while self.parent[chain[-1]] >= 0:
+            chain.append(self.block(self.parent[chain[-1]]))
+        at = {c: i for i, c in enumerate(chain)}
+        path = []
+        while b not in at:
+            path.append(b)
+            b = self.block(self.parent[b])
+        path += chain[: at[b]]
+        for c in path:
+            self.up[c] = b
+            self.bridges[b] += self.bridges[c]
+            self.amalgam[b] += self.amalgam[c]
+        self.bridges[b] -= 2 * len(path)
+
+    def _rooted(self) -> tuple[list[int], list[int]]:
+        """Each block's parent block, read once, and its depth in its tree."""
+        parent = [self.block(p) if p >= 0 else -1 for p in self.parent]
+        depth = [-1] * len(parent)
+        for v in range(len(parent)):
+            walk = []
+            b = self.block(v) if v != self.n else -1
+            while b >= 0 and depth[b] < 0:
+                walk.append(b)
+                b = parent[b]
+            d = depth[b] if b >= 0 else -1
+            for b in reversed(walk):
+                d += 1
+                depth[b] = d
+        return parent, depth
+
+    def candidate_rows(self, r: int, limit: list[int]) -> list[Row]:
+        """Every row that keeps the class 2-edge-connected spanning once the
+        next vertex z takes it, with no entry above `limit` or above what
+        the amalgam n has at that column (its loops at column n).  A row is
+        a multiset of r >= 2 amalgam neighbours, given sparse as ((v, x),
+        ...) in ascending column order with n last, and the rows come in the
+        order combinations_with_replacement yields the multisets: descending
+        order over the columns with n last.
+
+        The class must be 2-edge-connected spanning on 0..z-1: the
+        good-state invariant, which `is_good_triad` or the previous split
+        has checked.  Identifying z with n then gives back the class, with
+        the row's z-n edges as loops, so only the cuts between z and n can
+        fall below two edges, and a row passes exactly when it leaves two
+        edge-disjoint z-n paths.  Those are row[n] direct edges plus what
+        each tree C of the forest carries: with Z row edges and A remaining
+        amalgam edges into C, C carries min(Z, A, 2), except 1 when Z and A
+        are both at least 2 and one bridge cuts the row's blocks off from
+        the amalgam's.  As each side of a bridge of F has an amalgam edge in
+        the class, that happens exactly when the subtree spanning the row's
+        blocks has one bridge leaving it and all its amalgam edges are row
+        edges.  In a good state every tree reaches the amalgam at least
+        twice, or its one amalgam edge would be a bridge of the class, so a
+        row with at most one edge into each tree passes outright: each of
+        its r edges is a path.  Only rows with two or more edges into one
+        tree are counted.  Goodness is a per-class property, so filtering
+        here means the row search never needs a global goodness check."""
+        n, z = self.n, len(self.up)
+        tree = [_find(self.tree_up, v) for v in range(z)]
+        for v, t in enumerate(tree):
+            if self.reach[t] < 2 and v != n:
+                raise InternalInconsistencyError(
+                    f"a tree of the class without the amalgam meets it "
+                    f"{self.reach[t]} times; a good state needs two"
+                )
+        parent: list[int] = []
+        depth: list[int] = []
+        caps = [min(a, b) for a, b in zip(self.mult, limit)]
+        neighbours = [v for v in range(z) if caps[v] and v != n]
+        if caps[n]:
+            neighbours.append(n)
+        out = []
+        for combo in combinations_with_replacement(neighbours, r):
+            row: list[tuple[int, int]] = []  # equal neighbours are adjacent
+            for v in combo:
+                if row and row[-1][0] == v:
+                    row[-1] = (v, row[-1][1] + 1)
+                else:
+                    row.append((v, 1))
+            if len(row) < r and any(x > caps[v] for v, x in row):
+                continue
+            paths = 0
+            into: dict[int, int] = {}  # row edges into each tree
+            for v, x in row:
+                if v == n:
+                    paths = x
+                else:
+                    into[tree[v]] = into.get(tree[v], 0) + x
+            if len(into) + paths == r:  # at most one edge into each tree
+                out.append(tuple(row))
+                continue
+            for t, zc in into.items():
+                ac = self.reach[t] - zc
+                paths += min(zc, ac, 2)
+                if zc >= 2 and ac >= 2:
+                    # walk the deepest tip up until the tips meet: the blocks
+                    # walked span the row's blocks in the tree
+                    if not depth:
+                        parent, depth = self._rooted()
+                    tips = {self.block(v) for v, _ in row if v != n and tree[v] == t}
+                    span = set(tips)
+                    while len(tips) > 1:
+                        b = max(tips, key=depth.__getitem__)
+                        tips.remove(b)
+                        tips.add(parent[b])
+                        span.add(parent[b])
+                    leaving = sum(self.bridges[b] for b in span) - 2 * (len(span) - 1)
+                    if leaving == 1 and sum(self.amalgam[b] for b in span) == zc:
+                        paths -= 1
+            if paths >= 2:
+                out.append(tuple(row))
+        return out
 
 
 def solve_split(
@@ -434,8 +585,10 @@ class _SplitSearch:
     edges become z-to-v edges and row[n] amalgam loops become z-to-amalgam
     edges.  Rows sum to r; column v sums to mu, and column n to mu times the
     number of vertices the amalgam still stands for.  A row is a candidate
-    when its class stays 2-edge-connected spanning (`candidate_rows`), and
-    `solve_split` picks one candidate per class as an exact cover.
+    when its class stays 2-edge-connected spanning, which the class's
+    bridge forest judges (`BridgeForest.candidate_rows`), and `solve_split`
+    picks one candidate per class as an exact cover.  Committing a split
+    moves each row onto z in the working multigraph and in the forest.
 
     `run` is one loop over the first m - n - 1 splits, each solved and then
     committed and never revisited: a good state can always be completed, so
@@ -454,6 +607,7 @@ class _SplitSearch:
         self.stats = DetachStats()
         self.rng = random.Random(seed) if seed else None
         self.work = [cls.copy() for cls in t.classes]
+        self.forests = [BridgeForest(cls, self.n) for cls in t.classes]
 
     def run(self) -> list[Multigraph]:
         n, m = self.n, self.m
@@ -474,10 +628,11 @@ class _SplitSearch:
                     f"split of vertex {z} has no solution; the good triad "
                     "guarantee says one exists"
                 )
-            for g, row in zip(self.work, rows):
+            for g, forest, row in zip(self.work, self.forests, rows):
                 for v, x in row:
                     g.remove_edge(n, v, x)
                     g.add_edge(z, v, x)
+                forest.take(row)
         return self.work
 
     def _split(self, z: int) -> list[Row] | None:
@@ -486,9 +641,7 @@ class _SplitSearch:
         start = time.monotonic()
         demand = [self.mu] * z
         demand[self.n] = self.mu * (self.m - z)
-        candidates = [
-            candidate_rows(g, self.n, z, self.r, demand) for g in self.work
-        ]
+        candidates = [f.candidate_rows(self.r, demand) for f in self.forests]
         if self.rng:
             for cand in candidates:
                 self.rng.shuffle(cand)

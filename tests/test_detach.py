@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import inspect
+import signal
 import sys
+from contextlib import contextmanager
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -12,15 +14,19 @@ from enclosings import detach
 from enclosings.conditions import make_params
 from enclosings.decomp import Decomposition, Enclosing, restrict, verify_enclosing
 from enclosings.detach import (
+    BridgeForest,
     SplitRecord,
     build_amalgamated_triad,
-    candidate_rows,
     fair_detach,
     is_good_triad,
     solve_split,
     verify_detachment,
 )
-from enclosings.errors import BudgetExhaustedError, PreconditionError
+from enclosings.errors import (
+    BudgetExhaustedError,
+    InternalInconsistencyError,
+    PreconditionError,
+)
 from enclosings.extend import enclose_in_mu_kn
 from enclosings.mgraph import Multigraph, complete_multigraph
 from enclosings.oracle import random_admissible
@@ -281,6 +287,51 @@ def test_solve_split_agrees_with_enumeration(instance):
         assert nodes == 0
 
 
+def split_model_status(optimize, candidates, demand):
+    """HiGHS's status on the split as a 0-1 program: one binary per row,
+    each class's rows summing to 1 and each column's entries to its demand.
+    0 means feasible, 2 infeasible."""
+    import numpy as np  # scipy's own dependency
+    owners = [i for i, cand in enumerate(candidates) for _ in cand]
+    rows = [row for cand in candidates for row in cand]
+    k = len(candidates)
+    if not rows:
+        return 0 if k == 0 and not any(demand) else 2
+    a = np.zeros((k + len(demand), len(rows)))
+    for j, (i, row) in enumerate(zip(owners, rows)):
+        a[i, j] = 1
+        for v, x in row:
+            a[k + v, j] = x
+    b = np.array([1] * k + list(demand))
+    return optimize.milp(
+        np.zeros(len(rows)),
+        constraints=optimize.LinearConstraint(a, b, b),
+        integrality=np.ones(len(rows)),
+        bounds=optimize.Bounds(0, 1),
+    ).status
+
+
+def check_against_model(optimize, candidates, demand, budget, found):
+    """A choice `solve_split` returns satisfies the model, and it reports
+    "no solution" within its budget only where the model is infeasible."""
+    rows, nodes, _ = found
+    status = split_model_status(optimize, candidates, demand)
+    if rows is not None:
+        assert all(row in cand for row, cand in zip(rows, candidates))
+        assert column_sums(rows, len(demand)) == demand
+        assert status == 0
+    elif nodes < budget:
+        assert status == 2
+
+
+@given(split_instances())
+@settings(max_examples=200)
+def test_solve_split_agrees_with_milp(optimize, instance):
+    candidates, demand = instance
+    found = solve_split(candidates, demand, 10**6)
+    check_against_model(optimize, candidates, demand, 10**6, found)
+
+
 def test_solve_split_excludes_rows_tried_at_a_column():
     # one class, no solution.  Both columns have one choice, so the search
     # branches on the higher, column 1, and tries ((1, 3),) first, which
@@ -418,13 +469,16 @@ def split_states(draw):
     return g, n, z, r, caps
 
 
+def candidate_rows(g, n, z, r, limit):
+    """The rows of g's bridge forest for the split of vertex z."""
+    return BridgeForest(g.induced(z), n).candidate_rows(r, limit)
+
+
 @given(split_states())
 @settings(max_examples=400)
 def test_candidate_rows_match_move_and_check(state):
     g, n, z, r, caps = state
-    before = dict(g.edges)
     assert candidate_rows(g, n, z, r, caps) == reference_rows(g, n, z, r, caps)
-    assert g.edges == before  # no row was moved onto g
 
 
 def test_candidate_rows_one_bridge_cuts_row_from_amalgam():
@@ -454,27 +508,201 @@ def test_candidate_rows_two_bridges_leave_the_row():
     assert rows == [((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 2),), ((1, 1), (2, 1))]
 
 
-@pytest.mark.parametrize(
-    "regime, n, m, r, k, seed",
+def test_candidate_rows_refuse_a_tree_that_meets_the_amalgam_once():
+    # F is one tree: blocks {0, 1} (a double edge) and {2}, joined by the
+    # bridge 1-2.  Amalgam 3 meets it once, by the edge 0-3, a bridge of
+    # the class, so the state is not good and no row may pass on the
+    # strength of goodness.
+    g = Multigraph(4)
+    g.add_edge(0, 1, 2)
+    g.add_edge(1, 2)
+    g.add_edge(0, 3)
+    forest = BridgeForest(g, 3)
+    with pytest.raises(InternalInconsistencyError, match="meets it 1 times"):
+        forest.candidate_rows(2, [1, 1, 1, 0])
+
+
+def forest_shape(forest):
+    """What a bridge forest says about its class, free of block and tree
+    ids and of where each tree is rooted: each block's bridge count and
+    amalgam edges, the forest's edges as pairs of blocks, its roots, each
+    tree's reach, and the amalgam's multiplicities."""
+    vertices = [v for v in range(len(forest.up)) if v != forest.n]
+    blocks, trees = {}, {}
+    for v in vertices:
+        blocks.setdefault(forest.block(v), set()).add(v)
+        trees.setdefault(forest.tree(v), set()).add(v)
+    name = {b: frozenset(vs) for b, vs in blocks.items()}
+    return (
+        {name[b]: (forest.bridges[b], forest.amalgam[b]) for b in blocks},
+        {
+            frozenset((name[b], name[forest.block(forest.parent[b])]))
+            for b in blocks
+            if forest.parent[b] >= 0
+        },
+        sum(forest.parent[b] < 0 for b in blocks),
+        {frozenset(vs): forest.reach[t] for t, vs in trees.items()},
+        forest.mult,
+    )
+
+
+def split_demand(params, z):
+    demand = [params.mu] * z
+    demand[params.n] = params.mu * (params.m - z)
+    return demand
+
+
+def desk_triad(regime, n, m, r, k, seed):
+    params = make_params(n=n, m=m, lam=1, mu=2, r=r, k=k)
+    g = random_admissible(n, 1, k, r - 1 if regime == "T15" else r, seed=seed)
+    full, _ = enclose_in_mu_kn(g, params, regime, seed=seed)
+    return build_amalgamated_triad(full, params), params
+
+
+DESK = (
     [("B", 7, 14, 2, 13, s) for s in range(1, 6)]
     + [("C", 8, 14, 2, 13, s) for s in range(1, 6)]
-    + [("T15", 8, 16, 3, 10, 1)],
+    + [("T15", 8, 16, 3, 10, 1)]
+)
+
+
+@pytest.mark.parametrize(
+    "regime, n, m, r, k, seed", DESK + [("B", 20, 39, 2, 38, 1)]
 )
 def test_candidate_rows_match_reference_at_every_split(
     monkeypatch, regime, n, m, r, k, seed
 ):
-    params = make_params(n=n, m=m, lam=1, mu=2, r=r, k=k)
-    g = random_admissible(n, 1, k, r - 1 if regime == "T15" else r, seed=seed)
-    full, _ = enclose_in_mu_kn(g, params, regime, seed=seed)
-    triad = build_amalgamated_triad(full, params)
+    triad, params = desk_triad(regime, n, m, r, k, seed)
+    split = detach._SplitSearch._split
     seen = []
 
-    def checked(g, n, z, r, limit):
-        rows = candidate_rows(g, n, z, r, limit)
-        assert rows == reference_rows(g, n, z, r, limit)
+    def checked(search, z):
+        limit = split_demand(params, z)
+        for g, forest in zip(search.work, search.forests):
+            assert forest.candidate_rows(r, limit) == reference_rows(g, n, z, r, limit)
+            assert forest_shape(forest) == forest_shape(BridgeForest(g.induced(z), n))
         seen.append(z)
-        return rows
+        return split(search, z)
 
-    monkeypatch.setattr(detach, "candidate_rows", checked)
+    monkeypatch.setattr(detach._SplitSearch, "_split", checked)
     fair_detach(triad, params, seed=seed, budget=50000)
-    assert sorted(set(seen)) == list(range(n + 1, m))
+    assert seen == list(range(n + 1, m))
+
+
+@pytest.mark.parametrize("regime, n, m, r, k, seed", DESK)
+def test_solve_split_agrees_with_milp_at_every_split(
+    monkeypatch, optimize, regime, n, m, r, k, seed
+):
+    triad, params = desk_triad(regime, n, m, r, k, seed)
+    seen = []
+
+    def checked(candidates, demand, budget):
+        found = solve_split(candidates, demand, budget)
+        check_against_model(optimize, candidates, demand, budget, found)
+        seen.append(len(demand))
+        return found
+
+    monkeypatch.setattr(detach, "solve_split", checked)
+    fair_detach(triad, params, seed=seed, budget=50000)
+    assert seen == list(range(n + 1, m))
+
+
+@st.composite
+def class_states(draw):
+    """A good class with room for several splits: 2-edge-connected spanning
+    on 0..z-1 (a closed walk through every vertex, plus random edges), the
+    amalgam n with up to 12 more edges and up to 6 loops."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    z = draw(st.integers(min_value=2, max_value=7))
+    n = draw(st.integers(min_value=0, max_value=z - 1))
+    g = Multigraph(z)
+    walk = draw(st.permutations(range(z)))
+    for u, v in zip(walk, walk[1:] + walk[:1]):
+        g.add_edge(u, v)
+    vertex = st.integers(min_value=0, max_value=z - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=6)):
+        if u != v:
+            g.add_edge(u, v)
+    for v in draw(st.lists(vertex, max_size=12)):
+        if v != n:
+            g.add_edge(v, n)
+    g.add_edge(n, n, draw(st.integers(min_value=0, max_value=6)))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=10**6), max_size=6))
+    return g, n, r, picks
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError after `seconds`: a forest whose parent
+    pointers form a cycle would otherwise walk it without end."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"forest update ran over {seconds} s")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, before)
+
+
+def commit_rows(g, n, r, picks):
+    """Split vertices off class g one at a time, the row of each picked
+    from the carried forest's candidates, and check the forest against a
+    fresh build after each.  Returns what the splits did to the forest:
+    "link" when a row reached two trees, "merge" when it put two edges
+    into one tree, "double" for an entry of 2 or more below n."""
+    forest = BridgeForest(g, n)
+    g = g.copy()
+    seen = set()
+    for pick in picks:
+        rows = forest.candidate_rows(r, [r] * g.vertex_count)
+        if not rows:
+            break
+        row = rows[pick % len(rows)]
+        into = {}
+        for v, x in row:
+            if v != n:
+                into[forest.tree(v)] = into.get(forest.tree(v), 0) + x
+                if x >= 2:
+                    seen.add("double")
+        if len(into) >= 2:
+            seen.add("link")
+        if any(c >= 2 for c in into.values()):
+            seen.add("merge")
+        z = g.vertex_count
+        g.vertex_count = z + 1
+        for v, x in row:
+            g.remove_edge(n, v, x)
+            g.add_edge(z, v, x)
+        with time_limit(5):
+            forest.take(row)
+        assert g.is_two_edge_connected_spanning()
+        assert forest_shape(forest) == forest_shape(BridgeForest(g, n))
+    return seen
+
+
+@given(class_states())
+@settings(max_examples=300)
+def test_forest_update_matches_fresh_build(state):
+    commit_rows(*state)
+
+
+def test_forest_update_links_merges_and_takes_double_entries():
+    # F is two paths, 0 - 1 and 2 - 3; amalgam 4 meets 0 three times and
+    # every other end twice.  One edge to each path links the two trees, an
+    # edge to each end of one path merges the path's blocks, and two of 0's
+    # edges are a double entry: z hangs off block {0} by two parallel edges.
+    g = Multigraph(5)
+    g.add_edge(0, 1)
+    g.add_edge(2, 3)
+    for v in range(4):
+        g.add_edge(v, 4, 3 if v == 0 else 2)
+    g.add_edge(4, 4, 2)
+    assert g.is_two_edge_connected_spanning()
+    rows = BridgeForest(g, 4).candidate_rows(2, [2] * 5)
+    assert commit_rows(g, 4, 2, [rows.index(((0, 1), (2, 1)))]) == {"link"}
+    assert commit_rows(g, 4, 2, [rows.index(((0, 1), (1, 1)))]) == {"merge"}
+    assert commit_rows(g, 4, 2, [rows.index(((0, 2),))]) == {"double", "merge"}

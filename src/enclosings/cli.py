@@ -10,9 +10,11 @@ command-line flags so that one inner instance can be tested against many
 targets.  Exit codes are a stable contract: 0 success, 1 condition or
 verification failure, 2 input error, 3 out-of-regime, cap exceeded or
 conditions that hold for parameters the construction does not cover,
-4 budget exhausted, 5 internal error (an `InternalInconsistencyError`, a
-`RecursionError`, or an `enclose` result that fails its own verification:
-a bug, never an answer about the instance).
+4 budget exhausted (in `enclose`, a node is one candidate row tried when
+r >= 3 and one flow path pushed when r = 2), 5 internal error (an
+`InternalInconsistencyError`, a `RecursionError`, or an `enclose` result
+that fails its own verification: a bug, never an answer about the
+instance).
 
 `check` runs the regime's battery itself.  `enclose` leaves it to
 `enclose_in_mu_kn`, the one stage-1 entry, and reports failed conditions

@@ -16,15 +16,12 @@ split vertex takes degree exactly r per color and multiplicity exactly mu to
 every other vertex.  So a split is an exact cover with multiplicities: each
 class takes exactly one of its candidate rows (how many amalgam edges to
 each vertex become split-vertex edges), column v needs exactly mu units and
-the amalgam's column mu times the vertices it still stands for.
-`solve_split` searches it without recursion, branching on whichever class
-or column has the fewest live rows and failing a node as soon as a column
-needs more than its unplaced classes can still give, so no split rests on
-the order of the classes or the seed.  Each class is kept in one working
-multigraph, amalgam included, and a row moves amalgam edges onto the split
-vertex in place.  Split vertices are appended at n+1..m-1 and what is left
-of the amalgam stays vertex n, the forced last split, so only m-n-1 splits
-are searched.  Result vertex v is amalgamated into min(v, n).
+the amalgam's column mu times the vertices it still stands for.  Each class
+is kept in one working multigraph, amalgam included, and a row moves amalgam
+edges onto the split vertex in place.  Split vertices are appended at
+n+1..m-1 and what is left of the amalgam stays vertex n, the forced last
+split, so only m-n-1 splits are solved.  Result vertex v is amalgamated into
+min(v, n).
 
 A row keeps its class 2-edge-connected exactly when it leaves two
 edge-disjoint paths between the split vertex and the amalgam: identifying
@@ -33,9 +30,20 @@ so only the cuts between them can fall below two edges.  Each class keeps
 one `BridgeForest`, the bridge forest of the class without the amalgam,
 built once when detachment starts; each committed split vertex joins it by
 linking trees or merging the blocks on a tree path, as the forest only
-grows.  `BridgeForest.candidate_rows` counts the paths on it, so no row is
-moved or checked on the graph itself, and a row with at most one edge into
-each tree passes without a count.
+grows.
+
+How a split is solved depends on r, and so does what a node of the budget
+is.  At r = 2 every tree of the forest is a path that meets the amalgam
+exactly twice, so a row passes exactly when it puts at most one edge into
+each tree, and the split is one integral max-flow, class -> tree -> column
+(`flow_split`): no row is built and nothing is searched, and a node is one
+path pushed.  At r >= 3 `BridgeForest.candidate_rows` builds each class's
+rows, counting the paths on the forest (a row with at most one edge into
+each tree passes without a count), and `solve_split` searches them without
+recursion, branching on whichever class or column has the fewest live rows
+and failing a node as soon as a column needs more than its unplaced classes
+can still give, so no split rests on the order of the classes or the seed;
+a node is one row tried.
 """
 
 
@@ -44,7 +52,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .conditions import EnclosureParams, check_a_prime
 from .decomp import Decomposition
@@ -58,10 +66,12 @@ from .mgraph import Multigraph, complete_multigraph
 
 @dataclass(frozen=True)
 class SplitRecord:
-    """One searched split: its vertex z, the search nodes it took, the
-    fewest and most candidate rows of any class, the most classes that held
-    a row at once (k when the split was solved), and its wall seconds,
-    candidate rows included, which equality leaves out."""
+    """One solved or stalled split: its vertex z, the nodes it took (rows
+    tried at r >= 3, paths pushed at r = 2), the fewest and most candidate
+    rows of any class (counted in closed form at r = 2), the most classes
+    that held a row at once (at r = 2, that got both their units; k when
+    the split was solved), and its wall seconds, which equality leaves
+    out."""
 
     z: int
     nodes: int
@@ -307,6 +317,28 @@ class BridgeForest:
                 depth[b] = d
         return parent, depth
 
+    def path_ends(self, limit: list[int]) -> list[list[int]]:
+        """At r = 2, each tree's amalgam ends: its vertices v with an
+        amalgam edge and `limit[v]` nonzero, trees in order of their first
+        vertex.  Every vertex below z has class degree 2, so F is a union
+        of paths and each path meets the amalgam exactly twice, at its two
+        ends or twice at a lone vertex: its reach is 2.  A tree with any
+        other reach breaks the premise `flow_split` rests on, and raises."""
+        n, up, mult = self.n, self.tree_up, self.mult
+        trees: dict[int, list[int]] = {}
+        for v in range(len(up)):
+            if v != n:
+                ends = trees.setdefault(_find(up, v), [])
+                if mult[v] and limit[v]:
+                    ends.append(v)
+        for t in trees:
+            if self.reach[t] != 2:
+                raise InternalInconsistencyError(
+                    f"a tree of the class without the amalgam meets it "
+                    f"{self.reach[t]} times; at r = 2 every tree meets it twice"
+                )
+        return list(trees.values())
+
     def candidate_rows(self, r: int, limit: list[int]) -> list[Row]:
         """Every row that keeps the class 2-edge-connected spanning once the
         next vertex z takes it, with no entry above `limit` or above what
@@ -395,10 +427,11 @@ def solve_split(
     candidates: list[list[Row]], demand: list[int], budget: int
 ) -> tuple[list[Row] | None, int, int]:
     """One row per class with column sums exactly `demand`, or None when no
-    such choice exists or the budget ran out.  Also returns the nodes spent,
-    one per row tried (the budget ran out exactly when they reach it), and
-    the most classes that held a row at once.  No entry of a candidate row
-    may exceed its column's demand; `candidate_rows` keeps to its limit.
+    such choice exists or the budget ran out: the split at r >= 3.  Also
+    returns the nodes spent, one per row tried (the budget ran out exactly
+    when they reach it), and the most classes that held a row at once.  No
+    entry of a candidate row may exceed its column's demand;
+    `candidate_rows` keeps to its limit.
 
     This is an exact cover with multiplicities (Knuth, "Dancing Links",
     2000: Algorithm X and its multiplicity form): class i needs exactly one
@@ -575,6 +608,144 @@ def solve_split(
     return chosen, nodes, deepest
 
 
+def path_row_count(ends: list[list[int]], loops: int) -> int:
+    """How many candidate rows a class has at r = 2, in closed form: two
+    ends of different trees, an end and a loop, or two loops, where `ends`
+    holds each tree's ends (`BridgeForest.path_ends`) and `loops` the
+    loops the row may take."""
+    sizes = list(map(len, ends))
+    s = sum(sizes)
+    return (s * s - sum(x * x for x in sizes)) // 2 + (s if loops else 0) + (loops >= 2)
+
+
+def flow_split(
+    ends: list[list[list[int]]], loops: list[int], demand: list[int], n: int, budget: int
+) -> tuple[list[Row] | None, int, int]:
+    """At r = 2, one row per class with column sums exactly `demand`, or
+    None when no such choice exists or the budget ran out.  Also returns
+    the nodes spent, one per path pushed (the budget ran out exactly when
+    they reach it), and how many classes got both their units.
+
+    ends[i] holds the ends of each tree of class i (`BridgeForest.
+    path_ends`), and loops[i] the loops it may give column n.  As every
+    tree meets the amalgam exactly twice, a row passes exactly when it puts
+    at most one edge into each tree (`BridgeForest.candidate_rows`): a
+    second edge into one tree leaves it no path from the split vertex to
+    the amalgam.  So a split is an integral flow: source -> class i
+    (capacity 2) -> each tree of i (capacity 1) -> column v for each end v
+    of the tree (capacity 1) -> sink (capacity demand[v]), with an arc
+    class i -> column n of capacity min(loops[i], 2).  Its saturating
+    integral flows are exactly the exact covers `solve_split` searches for
+    (Ford and Fulkerson's integrality), so there is no search.  Paths
+    straight from a class to a column are pushed greedily first, class by
+    class, its loops before its trees: a loop path can carry both units,
+    and on B (n = 7) and C (n = 8) at m = 14, seeds 1-100, this order left
+    half as many augmenting paths as trees first.  Then shortest augmenting
+    paths, found by breadth-first search (Edmonds and Karp), are pushed
+    until the demand is met or no path is left.
+    """
+    k = len(ends)
+    left = list(demand)  # units each column still needs
+    room = [2] * k  # units each class has still to send
+    looped = [0] * k  # units each class sends over its loops, to column n
+    caps = [min(x, 2) for x in loops]
+    sent = [[-1] * len(trees) for trees in ends]  # the column each tree sends to
+    senders: list[dict[tuple[int, int], None]] = [{} for _ in demand]  # (class, tree)
+
+    # A path starts at a class with room and ends at a column with units
+    # left; each step (i, t, old, new) moves the unit class i sends over
+    # tree t (its loops when t < 0) from column old to column new, where -1
+    # stands for the class itself: -1 -> v starts a unit, v -> -1 takes it
+    # back, and v -> w moves it to the tree's other end.
+    def direct():
+        """The paths from a class straight to a column, class by class."""
+        for i, trees in enumerate(ends):
+            x = min(room[i], caps[i], left[n])
+            if x:
+                yield i, [(i, -1, -1, n)], x
+            for t, tree in enumerate(trees):
+                v = next((v for v in tree if left[v]), -1)
+                if room[i] and v >= 0:
+                    yield i, [(i, t, -1, v)], 1
+
+    def augmenting():
+        """Shortest augmenting paths, found by breadth-first search from
+        the classes with room, while one is left.  The residual network is
+        read off the flow: a class reaches the ends of its idle trees and,
+        below its cap, column n; a column reaches the other end of each
+        tree sending to it and that tree's class, and column n each class
+        sending it loops."""
+        while True:
+            via = {~i: None for i in range(k) if room[i]}  # class i is node ~i
+            queue = list(via)
+            goal = -1
+            for node in queue:
+                if node < 0:
+                    i = ~node
+                    hops = [(n, i, -1)] if looped[i] < caps[i] else []
+                    for t, tree in enumerate(ends[i]):
+                        if sent[i][t] < 0:
+                            hops += [(v, i, t) for v in tree]
+                else:
+                    hops = []
+                    for i, t in senders[node]:
+                        hops += [(w, i, t) for w in ends[i][t] if w != node]
+                        hops.append((~i, i, t))
+                    if node == n:
+                        hops += [(~i, i, -1) for i in range(k) if looped[i]]
+                for to, i, t in hops:
+                    if to not in via:
+                        via[to] = (node, i, t)
+                        queue.append(to)
+                        if to >= 0 and left[to]:
+                            goal = to
+                            break
+                if goal >= 0:
+                    break
+            if goal < 0:
+                return
+            steps = []
+            node = goal
+            while via[node] is not None:
+                back, i, t = via[node]
+                steps.append((i, t, max(back, -1), max(node, -1)))
+                node = back
+            yield ~node, steps, 1
+
+    def full() -> int:
+        return sum(not x for x in room)
+
+    need = sum(demand)
+    nodes = 0
+    for start, steps, x in chain(direct(), augmenting()):
+        nodes += 1
+        if nodes >= budget:
+            return None, nodes, full()
+        room[start] -= x
+        left[steps[0][3]] -= x
+        for i, t, old, new in steps:
+            if t < 0:
+                looped[i] += x if new >= 0 else -x
+                continue
+            if old >= 0:
+                del senders[old][i, t]
+            if new >= 0:
+                senders[new][i, t] = None
+            sent[i][t] = new
+        need -= x
+        if not need:
+            break
+    deepest = full()
+    if need or deepest < k:
+        return None, nodes, deepest
+    rows: list[Row] = []
+    for i, columns in enumerate(sent):
+        row = [(v, 1) for v in columns if v >= 0] + ([(n, looped[i])] if looped[i] else [])
+        row.sort(key=lambda e: (e[0] == n, e[0]))
+        rows.append(tuple(row))
+    return rows, nodes, deepest
+
+
 class _SplitSearch:
     """Split the amalgam one vertex at a time.
 
@@ -586,9 +757,11 @@ class _SplitSearch:
     edges.  Rows sum to r; column v sums to mu, and column n to mu times the
     number of vertices the amalgam still stands for.  A row is a candidate
     when its class stays 2-edge-connected spanning, which the class's
-    bridge forest judges (`BridgeForest.candidate_rows`), and `solve_split`
-    picks one candidate per class as an exact cover.  Committing a split
-    moves each row onto z in the working multigraph and in the forest.
+    bridge forest judges.  At r = 2 `flow_split` picks one candidate per
+    class as an integral flow over each class's trees, a node per path
+    pushed; at r >= 3 `solve_split` picks one as an exact cover over
+    `BridgeForest.candidate_rows`, a node per row tried.  Committing a
+    split moves each row onto z in the working multigraph and in the forest.
 
     `run` is one loop over the first m - n - 1 splits, each solved and then
     committed and never revisited: a good state can always be completed, so
@@ -641,19 +814,40 @@ class _SplitSearch:
         start = time.monotonic()
         demand = [self.mu] * z
         demand[self.n] = self.mu * (self.m - z)
-        candidates = [f.candidate_rows(self.r, demand) for f in self.forests]
-        if self.rng:
-            for cand in candidates:
-                self.rng.shuffle(cand)
-        rows, nodes, deepest = solve_split(
-            candidates, demand, self.budget - self.stats.nodes
-        )
+        solve = self._flow if self.r == 2 else self._search
+        rows, nodes, deepest, counts = solve(demand, self.budget - self.stats.nodes)
         self.stats.nodes += nodes
-        counts = [len(c) for c in candidates]
         self.stats.splits.append(SplitRecord(
             z, nodes, min(counts), max(counts), deepest, time.monotonic() - start
         ))
         return rows
+
+    def _search(
+        self, demand: list[int], budget: int
+    ) -> tuple[list[Row] | None, int, int, list[int]]:
+        """The split as an exact cover: every class's candidate rows, in an
+        order the split's rng shuffles, searched by `solve_split`.  Also
+        returns the row count of each class."""
+        candidates = [f.candidate_rows(self.r, demand) for f in self.forests]
+        if self.rng:
+            for cand in candidates:
+                self.rng.shuffle(cand)
+        return (*solve_split(candidates, demand, budget), [len(c) for c in candidates])
+
+    def _flow(
+        self, demand: list[int], budget: int
+    ) -> tuple[list[Row] | None, int, int, list[int]]:
+        """The split at r = 2 as one integral flow over each class's trees,
+        in an order the split's rng shuffles (`flow_split`).  Also returns
+        the row count of each class, in closed form (`path_row_count`)."""
+        n = self.n
+        ends = [f.path_ends(demand) for f in self.forests]
+        if self.rng:
+            for trees in ends:
+                self.rng.shuffle(trees)
+        loops = [min(f.mult[n], demand[n]) for f in self.forests]
+        counts = [path_row_count(e, x) for e, x in zip(ends, loops)]
+        return (*flow_split(ends, loops, demand, n, budget), counts)
 
 
 def fair_detach(

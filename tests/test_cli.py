@@ -180,13 +180,16 @@ def test_enclose_then_verify(tmp_path, capsys):
 
     trace_payload = json.loads(trace.read_text())
     assert "extension" in trace_payload and "detachment" in trace_payload
-    # m = 5 searches the split of vertex 4 only; vertex 3 is what is left
+    # m = 5 splits off vertex 4 only; vertex 3 is what is left.  At r = 2
+    # the split is a flow: 8 paths of one unit each, after which each of
+    # the 4 classes has both its units; every class has 2 candidate rows
     detachment = trace_payload["detachment"]
     (split,) = detachment["splits"]
-    assert split["z"] == 4
-    assert split["nodes"] == detachment["nodes"]
-    assert split["deepest"] == 4
-    assert 1 <= split["min_candidates"] <= split["max_candidates"]
+    assert detachment["nodes"] == 8
+    assert {key: split[key] for key in ("z", "nodes", "deepest")} == {
+        "z": 4, "nodes": 8, "deepest": 4
+    }
+    assert split["min_candidates"] == split["max_candidates"] == 2
     assert 0 < split["seconds"] <= detachment["wall_time"]
 
 
@@ -227,7 +230,27 @@ def test_enclose_budget_exhaustion(tmp_path, capsys):
         "enclose", str(path), "--m", "5", "--mu", "2", "--r", "2",
         "--budget", "1", "--out", str(tmp_path / "x.json"),
     ])
+    report = json.loads(capsys.readouterr().out)
     assert code == 4
+    assert report["status"] == "budget-exhausted"
+    # the first path of the flow spends the budget
+    assert "split of vertex 4, 1 of them there; at most 0 of 4 classes" in report["detail"]
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_enclose_budget_exhaustion_in_the_row_search(tmp_path, capsys):
+    # r = 3 splits are searched over candidate rows, not solved by a flow
+    path = tmp_path / "inst.json"
+    cli.main(["gen", "--n", "7", "--lambda", "1", "--k", "13", "--r", "3",
+              "--out", str(path)])
+    capsys.readouterr()
+    code = cli.main([
+        "enclose", str(path), "--m", "14", "--mu", "3", "--r", "3",
+        "--budget", "1", "--out", str(tmp_path / "x.json"),
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert "split of vertex 8, 1 of them there; at most 0 of 13 classes" in report["detail"]
 
 
 def test_enclose_uncovered_construction_is_out_of_regime(tmp_path, capsys):

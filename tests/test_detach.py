@@ -18,7 +18,9 @@ from enclosings.detach import (
     SplitRecord,
     build_amalgamated_triad,
     fair_detach,
+    flow_split,
     is_good_triad,
+    path_row_count,
     solve_split,
     verify_detachment,
 )
@@ -172,17 +174,20 @@ def test_fair_detach_budget_exhaustion():
         classes.append(g)
     a = Decomposition(base, tuple(classes))
     triad = build_amalgamated_triad(a, params)
-    # the one searched split is vertex 4; it takes 4 nodes, one per class,
-    # and with fewer the message says how many of the 4 classes held a row
+    # the one solved split is vertex 4; its flow takes 8 paths, one unit
+    # each, and with fewer the message says how many of the 4 classes got
+    # both their units
     stalled = "split of vertex 4, {} of them there; at most {} of 4 classes"
     with pytest.raises(BudgetExhaustedError, match=stalled.format(1, 0)):
         fair_detach(triad, params, budget=1)
-    with pytest.raises(BudgetExhaustedError, match=stalled.format(4, 3)):
-        fair_detach(triad, params, budget=4)
-    stats = fair_detach(triad, params, budget=5).stats
+    with pytest.raises(BudgetExhaustedError, match=stalled.format(3, 1)):
+        fair_detach(triad, params, budget=3)
+    with pytest.raises(BudgetExhaustedError, match=stalled.format(8, 3)):
+        fair_detach(triad, params, budget=8)
+    stats = fair_detach(triad, params, budget=9).stats
     # equality leaves the wall seconds out
     assert stats.splits == [SplitRecord(
-        z=4, nodes=4, min_candidates=2, max_candidates=2, deepest=4, seconds=0.0
+        z=4, nodes=8, min_candidates=2, max_candidates=2, deepest=4, seconds=0.0
     )]
     assert stats.splits[0].seconds > 0
 
@@ -193,16 +198,38 @@ def test_fair_detach_records_every_searched_split():
     full, _ = enclose_in_mu_kn(g, params, "B", seed=2)
     triad = build_amalgamated_triad(full, params)
     stats = fair_detach(triad, params, seed=2, budget=50000).stats
-    assert [rec.z for rec in stats.splits] == list(range(8, 14))
+    # (vertex, paths, fewest and most rows of a class) per split; each
+    # split sends 26 units, and a class's two loops can go as one path
+    records = [(rec.z, rec.nodes, rec.min_candidates, rec.max_candidates) for rec in stats.splits]
+    assert records == [
+        (8, 20, 3, 27), (9, 21, 6, 33), (10, 23, 6, 25),
+        (11, 25, 3, 18), (12, 26, 3, 12), (13, 26, 2, 4),
+    ]
     assert sum(rec.nodes for rec in stats.splits) == stats.nodes
-    for rec in stats.splits:
-        assert 1 <= rec.min_candidates <= rec.max_candidates
-        assert rec.deepest == 13
+    assert all(rec.deepest == 13 for rec in stats.splits)
     # a budget that runs out inside the split of vertex 10 names it
     before = sum(rec.nodes for rec in stats.splits[:2])
-    stalled = r"split of vertex 10, \d+ of them there; at most \d+ of 13 classes"
+    stalled = "split of vertex 10, 3 of them there; at most 2 of 13 classes"
     with pytest.raises(BudgetExhaustedError, match=stalled):
         fair_detach(triad, params, seed=2, budget=before + 3)
+
+
+# The flow's paths on the r = 2 rows below, by (n, m, seed)
+FLOW_PATHS = {
+    (11, 22, 1): 373, (11, 22, 2): 371, (11, 22, 3): 373, (11, 22, 4): 373,
+    (13, 26, 1): 531, (13, 26, 2): 529, (13, 26, 3): 529, (13, 26, 4): 530,
+    (13, 25, 1): 471, (13, 25, 2): 468, (13, 25, 3): 470, (13, 25, 4): 468,
+    (13, 25, 5): 468, (7, 14, 3): 140, (20, 40, 9): 1305, (20, 39, 1): 1214,
+}
+
+
+def detach_and_verify(g, triad, params, seed, nodes):
+    witness = fair_detach(triad, params, seed=seed, budget=50000)
+    assert witness.stats.nodes == nodes
+    ok, problems = verify_detachment(witness, triad, params)
+    assert ok, problems
+    ok, problems = verify_enclosing(g, Enclosing(witness.result, params.n), params)
+    assert ok, problems
 
 
 @pytest.mark.parametrize(
@@ -223,17 +250,40 @@ def test_fair_detach_records_every_searched_split():
     # classes and then to the lowest column
     + [("B", 20, 40, 2, 39, 9, 1278), ("B", 20, 39, 2, 38, 1, 1131)],
 )
-def test_fair_detach_solves_splits_that_stalled(regime, n, m, r, k, seed, nodes):
-    params = make_params(n=n, m=m, lam=1, mu=2, r=r, k=k)
-    g = random_admissible(n, 1, k, r - 1 if regime == "T15" else r, seed=seed)
-    full, _ = enclose_in_mu_kn(g, params, regime, seed=seed)
-    triad = build_amalgamated_triad(full, params)
-    witness = fair_detach(triad, params, seed=seed, budget=50000)
-    assert witness.stats.nodes == nodes
-    ok, problems = verify_detachment(witness, triad, params)
-    assert ok, problems
-    ok, problems = verify_enclosing(g, Enclosing(witness.result, n), params)
-    assert ok, problems
+def test_fair_detach_solves_splits_that_stalled(monkeypatch, regime, n, m, r, k, seed, nodes):
+    # `nodes` is what the row search takes.  At r = 3 that is fair_detach's
+    # own route.  At r = 2 fair_detach runs the flow, pinned in FLOW_PATHS,
+    # and the row search, put in the flow's place, must still solve these
+    # splits that once stalled it: it is the route at r >= 3.
+    g, triad, params = desk_input(regime, n, m, r, k, seed)
+    if r == 2:
+        detach_and_verify(g, triad, params, seed, FLOW_PATHS[n, m, seed])
+        monkeypatch.setattr(detach._SplitSearch, "_flow", detach._SplitSearch._search)
+    detach_and_verify(g, triad, params, seed, nodes)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, paths",
+    # B at n = 25, where the row search exhausted 50k nodes (m = 50, seed 2
+    # still exceeded 1M), and at n = 60, where it took 177 s
+    [(25, 50, s, p) for s, p in zip((2, 9, 18), (2069, 2067, 2068))]
+    + [(25, 49, s, p) for s, p in zip((1, 5), (1947, 1950))]
+    + [(60, 120, 1, 12316)],
+)
+def test_fair_detach_flow_solves_splits_the_row_search_could_not(n, m, seed, paths):
+    g, triad, params = desk_input("B", n, m, 2, m - 1, seed)
+    detach_and_verify(g, triad, params, seed, paths)
+
+
+def test_fair_detach_builds_no_rows_at_r2(monkeypatch):
+    # each r = 2 split is one flow: no candidate row is built or searched
+    def refuse(*args):
+        raise AssertionError("the row model was reached at r = 2")
+
+    monkeypatch.setattr(BridgeForest, "candidate_rows", refuse)
+    monkeypatch.setattr(detach, "solve_split", refuse)
+    g, triad, params = desk_input("B", 7, 14, 2, 13, 1)
+    detach_and_verify(g, triad, params, 1, 139)
 
 
 def column_sums(rows, z):
@@ -522,6 +572,19 @@ def test_candidate_rows_refuse_a_tree_that_meets_the_amalgam_once():
         forest.candidate_rows(2, [1, 1, 1, 0])
 
 
+def test_path_ends_refuse_a_tree_that_meets_the_amalgam_three_times():
+    # F is the path 0 - 1, and amalgam 2 meets 0 twice and 1 once: vertex 0
+    # has class degree 3, so this is no state at r = 2, and the flow's
+    # premise, that every tree meets the amalgam exactly twice, fails.
+    g = Multigraph(3)
+    g.add_edge(0, 1)
+    g.add_edge(0, 2, 2)
+    g.add_edge(1, 2)
+    assert g.is_two_edge_connected_spanning()
+    with pytest.raises(InternalInconsistencyError, match="meets it 3 times"):
+        BridgeForest(g, 2).path_ends([2, 2, 2])
+
+
 def forest_shape(forest):
     """What a bridge forest says about its class, free of block and tree
     ids and of where each tree is rooted: each block's bridge count and
@@ -552,11 +615,13 @@ def split_demand(params, z):
     return demand
 
 
-def desk_triad(regime, n, m, r, k, seed):
+def desk_input(regime, n, m, r, k, seed):
+    """An input, its amalgamated triad and the parameters, as the pipeline
+    builds them (the T15 input is (r - 1)-admissible)."""
     params = make_params(n=n, m=m, lam=1, mu=2, r=r, k=k)
     g = random_admissible(n, 1, k, r - 1 if regime == "T15" else r, seed=seed)
     full, _ = enclose_in_mu_kn(g, params, regime, seed=seed)
-    return build_amalgamated_triad(full, params), params
+    return g, build_amalgamated_triad(full, params), params
 
 
 DESK = (
@@ -572,7 +637,7 @@ DESK = (
 def test_candidate_rows_match_reference_at_every_split(
     monkeypatch, regime, n, m, r, k, seed
 ):
-    triad, params = desk_triad(regime, n, m, r, k, seed)
+    _, triad, params = desk_input(regime, n, m, r, k, seed)
     split = detach._SplitSearch._split
     seen = []
 
@@ -593,7 +658,7 @@ def test_candidate_rows_match_reference_at_every_split(
 def test_solve_split_agrees_with_milp_at_every_split(
     monkeypatch, optimize, regime, n, m, r, k, seed
 ):
-    triad, params = desk_triad(regime, n, m, r, k, seed)
+    _, triad, params = desk_input(regime, n, m, r, k, seed)
     seen = []
 
     def checked(candidates, demand, budget):
@@ -603,8 +668,110 @@ def test_solve_split_agrees_with_milp_at_every_split(
         return found
 
     monkeypatch.setattr(detach, "solve_split", checked)
+    if r == 2:
+        # fair_detach solves r = 2 splits by the flow; the row search takes
+        # its place here
+        monkeypatch.setattr(detach._SplitSearch, "_flow", detach._SplitSearch._search)
     fair_detach(triad, params, seed=seed, budget=50000)
     assert seen == list(range(n + 1, m))
+
+
+@pytest.mark.parametrize(
+    "regime, n, m, r, k, seed",
+    [d for d in DESK if d[3] == 2] + [("B", 20, 39, 2, 38, 1)],
+)
+def test_flow_split_agrees_with_rows_at_every_split(monkeypatch, regime, n, m, r, k, seed):
+    _, triad, params = desk_input(regime, n, m, r, k, seed)
+    split = detach._SplitSearch._split
+    seen = []
+
+    def checked(search, z):
+        demand = split_demand(params, z)
+        candidates = [f.candidate_rows(2, demand) for f in search.forests]
+        counts = [
+            path_row_count(f.path_ends(demand), min(f.mult[n], demand[n])) for f in search.forests
+        ]
+        assert counts == [len(c) for c in candidates]
+        rows = split(search, z)
+        assert all(row in cand for row, cand in zip(rows, candidates))
+        assert column_sums(rows, z) == demand
+        record = search.stats.splits[-1]
+        assert (record.min_candidates, record.max_candidates) == (min(counts), max(counts))
+        assert record.deepest == k
+        seen.append(z)
+        return rows
+
+    monkeypatch.setattr(detach._SplitSearch, "_split", checked)
+    fair_detach(triad, params, seed=seed, budget=50000)
+    assert seen == list(range(n + 1, m))
+
+
+@st.composite
+def path_splits(draw):
+    """A split at r = 2: up to 4 classes on the vertices below z, each the
+    amalgam n with up to 3 loops plus paths over the other vertices, both
+    ends of each path joined to n (a lone vertex twice), so every class is
+    2-edge-connected spanning; demands planted from one candidate row per
+    class or drawn at random."""
+    z = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=z - 1))
+    forests = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        g = Multigraph(z)
+        order = draw(st.permutations([v for v in range(z) if v != n]))
+        cuts = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        path = []
+        for v, cut in zip(order, cuts[:-1] + [True]):
+            if path:
+                g.add_edge(path[-1], v)
+            path.append(v)
+            if cut:
+                g.add_edge(path[0], n)
+                g.add_edge(path[-1], n)
+                path = []
+        g.add_edge(n, n, draw(st.integers(min_value=0, max_value=3)))
+        forests.append(BridgeForest(g, n))
+    rows = [f.candidate_rows(2, [2] * z) for f in forests]
+    if all(rows) and draw(st.booleans()):
+        demand = column_sums([draw(st.sampled_from(c)) for c in rows], z)
+    else:
+        demand = draw(st.lists(st.integers(0, 4), min_size=z, max_size=z))
+    return forests, n, demand
+
+
+@given(path_splits())
+@settings(max_examples=300)
+def test_flow_split_agrees_with_solve_split(instance):
+    forests, n, demand = instance
+    candidates = [f.candidate_rows(2, demand) for f in forests]
+    ends = [f.path_ends(demand) for f in forests]
+    loops = [min(f.mult[n], demand[n]) for f in forests]
+    assert [path_row_count(e, x) for e, x in zip(ends, loops)] == [len(c) for c in candidates]
+    rows, nodes, deepest = flow_split(ends, loops, demand, n, 10**6)
+    assert (rows is not None) == (solve_split(candidates, demand, 10**6)[0] is not None)
+    # each path carries at least one unit
+    assert nodes <= sum(demand)
+    if rows is not None:
+        assert all(row in cand for row, cand in zip(rows, candidates))
+        assert column_sums(rows, len(demand)) == demand
+        assert deepest == len(forests)
+
+
+def test_flow_split_reports_a_split_with_no_solution():
+    # two classes, each the lone vertices 0 and 1 joined twice to the
+    # amalgam 2, with no loops: each class's one row takes an edge to 0
+    # and one to 1, so column 0 cannot take just one unit.  The first
+    # class sends its two units, and then no augmenting path is left.
+    g = Multigraph(3)
+    g.add_edge(0, 2, 2)
+    g.add_edge(1, 2, 2)
+    forest = BridgeForest(g, 2)
+    demand = [1, 1, 2]
+    ends = forest.path_ends(demand)
+    assert ends == [[0], [1]]
+    assert forest.candidate_rows(2, demand) == [((0, 1), (1, 1))]
+    assert flow_split([ends, ends], [0, 0], demand, 2, 100) == (None, 2, 1)
+    assert solve_split([[((0, 1), (1, 1))]] * 2, demand, 100)[0] is None
 
 
 @st.composite

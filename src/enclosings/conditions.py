@@ -19,7 +19,6 @@ an integer exactly when r*m is even.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,7 +113,10 @@ def _deficiency_entry(
     # numbers.Rational checks
     if p.numerator <= 0:
         return (name, True, f"p = {p} <= 0, deficiency bound vacuous")
-    lhs = sum((p - i) * s_count(g, i) for i in range(math.floor(p) + 1))
+    # a class of s <= p edges adds p - s: one pass over the class sizes, not
+    # over 0..p, which a huge r makes huge, and with ints until the last step
+    small = [s for s in g.class_sizes() if s <= p.numerator // p.denominator]
+    lhs = len(small) * p - sum(small)
     rhs = Fraction((params.mu - params.lam) * params.n * (params.n - 1), 2)
     return (name, lhs <= rhs, f"deficiency sum {lhs} vs bound {rhs}")
 

@@ -26,24 +26,23 @@ min(v, n).
 A row keeps its class 2-edge-connected exactly when it leaves two
 edge-disjoint paths between the split vertex and the amalgam: identifying
 the two gives back the class before the split, which is 2-edge-connected,
-so only the cuts between them can fall below two edges.  Each class keeps
-one `BridgeForest`, the bridge forest of the class without the amalgam,
-built once when detachment starts; each committed split vertex joins it by
-linking trees or merging the blocks on a tree path, as the forest only
-grows.
+so only the cuts between them can fall below two edges.  Each split reads
+its classes from their working multigraphs alone, and nothing is carried
+from one split to the next.
 
 How a split is solved depends on r, and so does what a node of the budget
-is.  At r = 2 every tree of the forest is a path that meets the amalgam
-exactly twice, so a row passes exactly when it puts at most one edge into
-each tree, and the split is one integral max-flow, class -> tree -> column
-(`flow_split`): no row is built and nothing is searched, and a node is one
-path pushed.  At r >= 3 `BridgeForest.candidate_rows` builds each class's
-rows, counting the paths on the forest (a row with at most one edge into
-each tree passes without a count), and `solve_split` searches them without
-recursion, branching on whichever class or column has the fewest live rows
-and failing a node as soon as a column needs more than its unplaced classes
-can still give, so no split rests on the order of the classes or the seed;
-a node is one row tried.
+is.  At r = 2 the class without the amalgam is a union of paths, each
+meeting the amalgam exactly twice (`path_ends`, one components pass), so a
+row passes exactly when it puts at most one edge into each path, and the
+split is one integral max-flow, class -> path -> column (`flow_split`): no
+row is built and nothing is searched, and a node is one path pushed.  At
+r >= 3 `candidate_rows` builds each class's rows on the bridge forest of
+the class without the amalgam, from one low-link pass per class per split
+(a row with at most one edge into each tree passes without a count), and
+`solve_split` searches them without recursion, branching on whichever
+class or column has the fewest live rows and failing a node as soon as a
+column needs more than its unplaced classes can still give, so no split
+rests on the order of the classes or the seed; a node is one row tried.
 """
 
 
@@ -152,275 +151,146 @@ def is_good_triad(t: Decomposition, params: EnclosureParams) -> bool:
 Row = tuple[tuple[int, int], ...]
 
 
-def _find(up: list[int], v: int) -> int:
-    """The head of v's set in the union-find `up`, halving the path."""
-    while up[v] != v:
-        up[v] = up[up[v]]
-        v = up[v]
-    return v
+def _amalgam_edges(g: Multigraph, n: int) -> list[int]:
+    """The amalgam n's multiplicity to each vertex of g, its loops at n."""
+    mult = [0] * g.vertex_count
+    for (u, v), x in g.edges.items():
+        if v == n:
+            mult[u] += x
+        elif u == n:
+            mult[v] += x
+    return mult
 
 
-class BridgeForest:
-    """The bridge forest of one class without the amalgam n, carried from
-    split to split.
+def path_ends(g: Multigraph, n: int) -> tuple[list[list[int]], int]:
+    """At r = 2, the amalgam ends of each path of class g without the
+    amalgam n, and the amalgam's loops, from one `g.components(n)`.  Every
+    vertex of g but n has class degree 2, so g without n is a union of
+    paths and each path meets the amalgam exactly twice, at its two ends or
+    twice at a lone vertex.  Ends come ascending, paths in order of their
+    smallest vertex.  A component that meets the amalgam any other number
+    of times breaks the premise `flow_split` rests on, and raises."""
+    mult = _amalgam_edges(g, n)
+    ends = []
+    for comp in g.components(n):
+        meets = sum(mult[v] for v in comp)
+        if meets != 2:
+            raise InternalInconsistencyError(
+                f"a component of the class without the amalgam meets it "
+                f"{meets} times; at r = 2 each is a path that meets it twice"
+            )
+        ends.append([v for v in comp if mult[v]])
+    return ends, mult[n]
 
-    F is the class on the vertices taken in so far, 0..z-1, without n.
-    Removing F's bridges leaves its blocks (2-edge-connected components),
-    and the bridges join the blocks into a forest.  A split only adds
-    vertex z and its edges to F, so blocks and trees only ever merge, which
-    is what on-line bridge-connectivity maintains (Westbrook and Tarjan,
-    "Maintaining bridge-connected and biconnected components on-line",
-    Algorithmica 1992).  Blocks and trees are union-find sets over the
-    vertices.  The head of a block holds its parent block in a rooted tree
-    (a block id, read through `_find`; -1 at a root), its bridge count and
-    its amalgam edges.  The head of a tree holds the tree's amalgam edges,
-    its reach.  `mult[v]` is the amalgam's multiplicity to v, its loops at
-    v = n.  Index n stands in every list but belongs to no block or tree.
-    """
 
-    __slots__ = ("n", "up", "parent", "bridges", "amalgam", "tree_up", "reach", "mult")
+def candidate_rows(g: Multigraph, n: int, r: int, limit: list[int]) -> list[Row]:
+    """Every row that keeps class g 2-edge-connected spanning once the next
+    vertex z = g.vertex_count takes it, with no entry above `limit` or
+    above what the amalgam n has at that column (its loops at column n).
+    A row is a multiset of r >= 2 amalgam neighbours, given sparse as ((v,
+    x), ...) in ascending column order with n last, and the rows come in
+    the order combinations_with_replacement yields the multisets:
+    descending order over the columns with n last.
 
-    def __init__(self, g: Multigraph, n: int):
-        """The forest of class g on all its vertices, from one `g.blocks(n)`."""
-        z = g.vertex_count
-        self.n = n
-        self.mult = [0] * z
-        for (u, v), x in g.edges.items():
-            if v == n:
-                self.mult[u] += x
-            elif u == n:
-                self.mult[v] += x
-        label, bridges = g.blocks(n)
-        head: dict[int, int] = {}  # block label -> its first vertex
-        self.up = [head.setdefault(label[v], v) if v != n else v for v in range(z)]
-        self.parent = [-1] * z
-        self.bridges = [0] * z
-        self.amalgam = [0] * z
-        for v in range(z):
-            if v != n:
-                self.amalgam[self.up[v]] += self.mult[v]
-        forest: dict[int, list[int]] = {b: [] for b in head.values()}
-        for u, v in bridges:
-            a, b = self.up[u], self.up[v]
-            forest[a].append(b)
-            forest[b].append(a)
-            self.bridges[a] += 1
-            self.bridges[b] += 1
-        # root each tree at its first block; every vertex points at the root
-        self.tree_up = list(range(z))
-        self.reach = [0] * z
-        seen: set[int] = set()
-        for root in forest:
-            if root in seen:
-                continue
-            seen.add(root)
+    g must be 2-edge-connected spanning: the good-state invariant, which
+    `is_good_triad` or the previous split has checked.  Identifying z with
+    n then gives back g, with the row's z-n edges as loops, so only the
+    cuts between z and n can fall below two edges, and a row passes exactly
+    when it leaves two edge-disjoint z-n paths.  They are read off the
+    bridge forest of F, g without n, built from one `g.blocks(n)`: removing
+    F's bridges leaves its blocks (2-edge-connected components), and the
+    bridges join the blocks into a forest.  The paths are row[n] direct
+    edges plus what each tree C of the forest carries: with Z row edges and
+    A remaining amalgam edges into C, C carries min(Z, A, 2), except 1 when
+    Z and A are both at least 2 and one bridge cuts the row's blocks off
+    from the amalgam's.  As each side of a bridge of F has an amalgam edge
+    in g, that happens exactly when the subtree spanning the row's blocks
+    has one bridge leaving it and all its amalgam edges are row edges.  In
+    a good state every tree reaches the amalgam at least twice, or its one
+    amalgam edge would be a bridge of g, so a row with at most one edge
+    into each tree passes outright: each of its r edges is a path.  Only
+    rows with two or more edges into one tree are counted.  Goodness is a
+    per-class property, so filtering here means the row search never needs
+    a global goodness check."""
+    z = g.vertex_count
+    mult = _amalgam_edges(g, n)
+    label, bridges = g.blocks(n)
+    count = max(label) + 1
+    amalgam = [0] * count  # amalgam edges into each block
+    for v in range(z):
+        if v != n:
+            amalgam[label[v]] += mult[v]
+    forest: list[list[int]] = [[] for _ in range(count)]
+    for u, v in bridges:
+        forest[label[u]].append(label[v])
+        forest[label[v]].append(label[u])
+    # root each tree at its first block: the tree, parent and depth of each
+    # block, and per tree the amalgam edges into it, its reach
+    tree = [-1] * count
+    parent = [-1] * count
+    depth = [0] * count
+    reach = [0] * count
+    for root in range(count):
+        if tree[root] < 0:
+            tree[root] = root
             stack = [root]
             while stack:
                 a = stack.pop()
-                self.tree_up[a] = root
-                self.reach[root] += self.amalgam[a]
+                reach[root] += amalgam[a]
                 for b in forest[a]:
-                    if b not in seen:
-                        seen.add(b)
-                        self.parent[b] = a
+                    if tree[b] < 0:
+                        tree[b], parent[b], depth[b] = root, a, depth[a] + 1
                         stack.append(b)
-        for v in range(z):
-            self.tree_up[v] = self.tree_up[self.up[v]]
-
-    def block(self, v: int) -> int:
-        return _find(self.up, v)
-
-    def tree(self, v: int) -> int:
-        return _find(self.tree_up, v)
-
-    def take(self, row: Row) -> None:
-        """Take in the next vertex z once it has taken `row` from the
-        amalgam: row[v] amalgam edges at v become z-v edges, and row[n]
-        amalgam loops become z-n edges.  z joins as a block and tree of its
-        own holding row[n] amalgam edges.  Then each z-v edge either links
-        two trees, as a new bridge, or merges the blocks on the tree path
-        between z and v into one; a second parallel copy of a new bridge
-        merges its two ends."""
-        n, z = self.n, len(self.up)
-        xn = 0
-        for v, x in row:
-            self.mult[v] -= x
-            if v == n:
-                xn = x
+    for v in range(z):
+        if v != n and reach[tree[label[v]]] < 2:
+            raise InternalInconsistencyError(
+                f"a tree of the class without the amalgam meets it "
+                f"{reach[tree[label[v]]]} times; a good state needs two"
+            )
+    caps = [min(a, b) for a, b in zip(mult, limit)]
+    neighbours = [v for v in range(z) if caps[v] and v != n]
+    if caps[n]:
+        neighbours.append(n)
+    out = []
+    for combo in combinations_with_replacement(neighbours, r):
+        row: list[tuple[int, int]] = []  # equal neighbours are adjacent
+        for v in combo:
+            if row and row[-1][0] == v:
+                row[-1] = (v, row[-1][1] + 1)
             else:
-                self.amalgam[self.block(v)] -= x
-                self.reach[self.tree(v)] -= x
-        self.up.append(z)
-        self.parent.append(-1)
-        self.bridges.append(0)
-        self.amalgam.append(xn)
-        self.tree_up.append(z)
-        self.reach.append(xn)
-        self.mult.append(xn)
+                row.append((v, 1))
+        if len(row) < r and any(x > caps[v] for v, x in row):
+            continue
+        paths = 0
+        into: dict[int, int] = {}  # row edges into each tree
         for v, x in row:
             if v == n:
-                continue
-            for _ in range(x):
-                tz, tv = self.tree(z), self.tree(v)
-                if tz != tv:
-                    self._link(self.block(z), self.block(v))
-                    self.tree_up[tz] = tv
-                    self.reach[tv] += self.reach[tz]
-                else:
-                    self._merge(self.block(z), self.block(v))
-
-    def _link(self, a: int, b: int) -> None:
-        """Join block a's tree under block b by a new bridge a-b, first
-        rerooting a's tree at a."""
-        parent, prev, c = self.parent, b, a
-        while c >= 0:
-            above = parent[c]
-            parent[c] = prev
-            prev, c = c, self.block(above) if above >= 0 else -1
-        self.bridges[a] += 1
-        self.bridges[b] += 1
-
-    def _merge(self, a: int, b: int) -> None:
-        """Merge the blocks on the tree path between blocks a and b, which
-        share a tree, into the block where the path meets, the highest on
-        it: the path's bridges lie on a cycle now."""
-        if a == b:
-            return
-        chain = [a]  # a and its ancestors, up to the root
-        while self.parent[chain[-1]] >= 0:
-            chain.append(self.block(self.parent[chain[-1]]))
-        at = {c: i for i, c in enumerate(chain)}
-        path = []
-        while b not in at:
-            path.append(b)
-            b = self.block(self.parent[b])
-        path += chain[: at[b]]
-        for c in path:
-            self.up[c] = b
-            self.bridges[b] += self.bridges[c]
-            self.amalgam[b] += self.amalgam[c]
-        self.bridges[b] -= 2 * len(path)
-
-    def _rooted(self) -> tuple[list[int], list[int]]:
-        """Each block's parent block, read once, and its depth in its tree."""
-        parent = [self.block(p) if p >= 0 else -1 for p in self.parent]
-        depth = [-1] * len(parent)
-        for v in range(len(parent)):
-            walk = []
-            b = self.block(v) if v != self.n else -1
-            while b >= 0 and depth[b] < 0:
-                walk.append(b)
-                b = parent[b]
-            d = depth[b] if b >= 0 else -1
-            for b in reversed(walk):
-                d += 1
-                depth[b] = d
-        return parent, depth
-
-    def path_ends(self, limit: list[int]) -> list[list[int]]:
-        """At r = 2, each tree's amalgam ends: its vertices v with an
-        amalgam edge and `limit[v]` nonzero, trees in order of their first
-        vertex.  Every vertex below z has class degree 2, so F is a union
-        of paths and each path meets the amalgam exactly twice, at its two
-        ends or twice at a lone vertex: its reach is 2.  A tree with any
-        other reach breaks the premise `flow_split` rests on, and raises."""
-        n, up, mult = self.n, self.tree_up, self.mult
-        trees: dict[int, list[int]] = {}
-        for v in range(len(up)):
-            if v != n:
-                ends = trees.setdefault(_find(up, v), [])
-                if mult[v] and limit[v]:
-                    ends.append(v)
-        for t in trees:
-            if self.reach[t] != 2:
-                raise InternalInconsistencyError(
-                    f"a tree of the class without the amalgam meets it "
-                    f"{self.reach[t]} times; at r = 2 every tree meets it twice"
-                )
-        return list(trees.values())
-
-    def candidate_rows(self, r: int, limit: list[int]) -> list[Row]:
-        """Every row that keeps the class 2-edge-connected spanning once the
-        next vertex z takes it, with no entry above `limit` or above what
-        the amalgam n has at that column (its loops at column n).  A row is
-        a multiset of r >= 2 amalgam neighbours, given sparse as ((v, x),
-        ...) in ascending column order with n last, and the rows come in the
-        order combinations_with_replacement yields the multisets: descending
-        order over the columns with n last.
-
-        The class must be 2-edge-connected spanning on 0..z-1: the
-        good-state invariant, which `is_good_triad` or the previous split
-        has checked.  Identifying z with n then gives back the class, with
-        the row's z-n edges as loops, so only the cuts between z and n can
-        fall below two edges, and a row passes exactly when it leaves two
-        edge-disjoint z-n paths.  Those are row[n] direct edges plus what
-        each tree C of the forest carries: with Z row edges and A remaining
-        amalgam edges into C, C carries min(Z, A, 2), except 1 when Z and A
-        are both at least 2 and one bridge cuts the row's blocks off from
-        the amalgam's.  As each side of a bridge of F has an amalgam edge in
-        the class, that happens exactly when the subtree spanning the row's
-        blocks has one bridge leaving it and all its amalgam edges are row
-        edges.  In a good state every tree reaches the amalgam at least
-        twice, or its one amalgam edge would be a bridge of the class, so a
-        row with at most one edge into each tree passes outright: each of
-        its r edges is a path.  Only rows with two or more edges into one
-        tree are counted.  Goodness is a per-class property, so filtering
-        here means the row search never needs a global goodness check."""
-        n, z = self.n, len(self.up)
-        tree = [_find(self.tree_up, v) for v in range(z)]
-        for v, t in enumerate(tree):
-            if self.reach[t] < 2 and v != n:
-                raise InternalInconsistencyError(
-                    f"a tree of the class without the amalgam meets it "
-                    f"{self.reach[t]} times; a good state needs two"
-                )
-        parent: list[int] = []
-        depth: list[int] = []
-        caps = [min(a, b) for a, b in zip(self.mult, limit)]
-        neighbours = [v for v in range(z) if caps[v] and v != n]
-        if caps[n]:
-            neighbours.append(n)
-        out = []
-        for combo in combinations_with_replacement(neighbours, r):
-            row: list[tuple[int, int]] = []  # equal neighbours are adjacent
-            for v in combo:
-                if row and row[-1][0] == v:
-                    row[-1] = (v, row[-1][1] + 1)
-                else:
-                    row.append((v, 1))
-            if len(row) < r and any(x > caps[v] for v, x in row):
-                continue
-            paths = 0
-            into: dict[int, int] = {}  # row edges into each tree
-            for v, x in row:
-                if v == n:
-                    paths = x
-                else:
-                    into[tree[v]] = into.get(tree[v], 0) + x
-            if len(into) + paths == r:  # at most one edge into each tree
-                out.append(tuple(row))
-                continue
-            for t, zc in into.items():
-                ac = self.reach[t] - zc
-                paths += min(zc, ac, 2)
-                if zc >= 2 and ac >= 2:
-                    # walk the deepest tip up until the tips meet: the blocks
-                    # walked span the row's blocks in the tree
-                    if not depth:
-                        parent, depth = self._rooted()
-                    tips = {self.block(v) for v, _ in row if v != n and tree[v] == t}
-                    span = set(tips)
-                    while len(tips) > 1:
-                        b = max(tips, key=depth.__getitem__)
-                        tips.remove(b)
-                        tips.add(parent[b])
-                        span.add(parent[b])
-                    leaving = sum(self.bridges[b] for b in span) - 2 * (len(span) - 1)
-                    if leaving == 1 and sum(self.amalgam[b] for b in span) == zc:
-                        paths -= 1
-            if paths >= 2:
-                out.append(tuple(row))
-        return out
+                paths = x
+            else:
+                t = tree[label[v]]
+                into[t] = into.get(t, 0) + x
+        if len(into) + paths == r:  # at most one edge into each tree
+            out.append(tuple(row))
+            continue
+        for t, zc in into.items():
+            ac = reach[t] - zc
+            paths += min(zc, ac, 2)
+            if zc >= 2 and ac >= 2:
+                # walk the deepest tip up until the tips meet: the blocks
+                # walked span the row's blocks in the tree
+                tips = {label[v] for v, _ in row if v != n and tree[label[v]] == t}
+                span = set(tips)
+                while len(tips) > 1:
+                    b = max(tips, key=depth.__getitem__)
+                    tips.remove(b)
+                    tips.add(parent[b])
+                    span.add(parent[b])
+                leaving = sum(len(forest[b]) for b in span) - 2 * (len(span) - 1)
+                if leaving == 1 and sum(amalgam[b] for b in span) == zc:
+                    paths -= 1
+        if paths >= 2:
+            out.append(tuple(row))
+    return out
 
 
 def solve_split(
@@ -610,9 +480,9 @@ def solve_split(
 
 def path_row_count(ends: list[list[int]], loops: int) -> int:
     """How many candidate rows a class has at r = 2, in closed form: two
-    ends of different trees, an end and a loop, or two loops, where `ends`
-    holds each tree's ends (`BridgeForest.path_ends`) and `loops` the
-    loops the row may take."""
+    ends of different paths, an end and a loop, or two loops, where `ends`
+    holds each path's ends (`path_ends`) and `loops` the loops the row may
+    take."""
     sizes = list(map(len, ends))
     s = sum(sizes)
     return (s * s - sum(x * x for x in sizes)) // 2 + (s if loops else 0) + (loops >= 2)
@@ -626,14 +496,14 @@ def flow_split(
     the nodes spent, one per path pushed (the budget ran out exactly when
     they reach it), and how many classes got both their units.
 
-    ends[i] holds the ends of each tree of class i (`BridgeForest.
-    path_ends`), and loops[i] the loops it may give column n.  As every
-    tree meets the amalgam exactly twice, a row passes exactly when it puts
-    at most one edge into each tree (`BridgeForest.candidate_rows`): a
-    second edge into one tree leaves it no path from the split vertex to
-    the amalgam.  So a split is an integral flow: source -> class i
-    (capacity 2) -> each tree of i (capacity 1) -> column v for each end v
-    of the tree (capacity 1) -> sink (capacity demand[v]), with an arc
+    ends[i] holds the ends of each path of class i without the amalgam
+    (`path_ends`), and loops[i] the loops it may give column n.  Each path
+    is a tree of the class's bridge forest and meets the amalgam exactly
+    twice, so a row passes exactly when it puts at most one edge into each
+    tree (`candidate_rows`): a second edge into one tree leaves it no path
+    from the split vertex to the amalgam.  So a split is an integral flow:
+    source -> class i (capacity 2) -> each tree of i (capacity 1) -> column
+    v for each end v of the tree (capacity 1) -> sink (capacity demand[v]), with an arc
     class i -> column n of capacity min(loops[i], 2).  Its saturating
     integral flows are exactly the exact covers `solve_split` searches for
     (Ford and Fulkerson's integrality), so there is no search.  Paths
@@ -756,12 +626,13 @@ class _SplitSearch:
     edges become z-to-v edges and row[n] amalgam loops become z-to-amalgam
     edges.  Rows sum to r; column v sums to mu, and column n to mu times the
     number of vertices the amalgam still stands for.  A row is a candidate
-    when its class stays 2-edge-connected spanning, which the class's
-    bridge forest judges.  At r = 2 `flow_split` picks one candidate per
-    class as an integral flow over each class's trees, a node per path
-    pushed; at r >= 3 `solve_split` picks one as an exact cover over
-    `BridgeForest.candidate_rows`, a node per row tried.  Committing a
-    split moves each row onto z in the working multigraph and in the forest.
+    when its class stays 2-edge-connected spanning.  At r = 2 `flow_split`
+    picks one candidate per class as an integral flow over the paths
+    `path_ends` reads off each class, a node per path pushed; at r >= 3
+    `solve_split` picks one as an exact cover over `candidate_rows`, a node
+    per row tried.  Both read the working multigraphs afresh at each split,
+    where z is not yet a vertex.  Committing a split adds z to each working
+    multigraph and moves each row onto it; nothing else is kept.
 
     `run` is one loop over the first m - n - 1 splits, each solved and then
     committed and never revisited: a good state can always be completed, so
@@ -780,13 +651,10 @@ class _SplitSearch:
         self.stats = DetachStats()
         self.rng = random.Random(seed) if seed else None
         self.work = [cls.copy() for cls in t.classes]
-        self.forests = [BridgeForest(cls, self.n) for cls in t.classes]
 
     def run(self) -> list[Multigraph]:
         n, m = self.n, self.m
         for z in range(n + 1, m):
-            for g in self.work:
-                g.vertex_count = z + 1  # z joins, isolated
             rows = self._split(z)
             if rows is None:
                 if self.stats.nodes >= self.budget:
@@ -801,11 +669,11 @@ class _SplitSearch:
                     f"split of vertex {z} has no solution; the good triad "
                     "guarantee says one exists"
                 )
-            for g, forest, row in zip(self.work, self.forests, rows):
+            for g, row in zip(self.work, rows):
+                g.vertex_count = z + 1  # z joins
                 for v, x in row:
                     g.remove_edge(n, v, x)
                     g.add_edge(z, v, x)
-                forest.take(row)
         return self.work
 
     def _split(self, z: int) -> list[Row] | None:
@@ -828,7 +696,7 @@ class _SplitSearch:
         """The split as an exact cover: every class's candidate rows, in an
         order the split's rng shuffles, searched by `solve_split`.  Also
         returns the row count of each class."""
-        candidates = [f.candidate_rows(self.r, demand) for f in self.forests]
+        candidates = [candidate_rows(g, self.n, self.r, demand) for g in self.work]
         if self.rng:
             for cand in candidates:
                 self.rng.shuffle(cand)
@@ -837,15 +705,18 @@ class _SplitSearch:
     def _flow(
         self, demand: list[int], budget: int
     ) -> tuple[list[Row] | None, int, int, list[int]]:
-        """The split at r = 2 as one integral flow over each class's trees,
+        """The split at r = 2 as one integral flow over each class's paths,
         in an order the split's rng shuffles (`flow_split`).  Also returns
         the row count of each class, in closed form (`path_row_count`)."""
         n = self.n
-        ends = [f.path_ends(demand) for f in self.forests]
+        ends, loops = [], []
+        for g in self.work:
+            paths, x = path_ends(g, n)
+            ends.append(paths)
+            loops.append(min(x, demand[n]))
         if self.rng:
-            for trees in ends:
-                self.rng.shuffle(trees)
-        loops = [min(f.mult[n], demand[n]) for f in self.forests]
+            for paths in ends:
+                self.rng.shuffle(paths)
         counts = [path_row_count(e, x) for e, x in zip(ends, loops)]
         return (*flow_split(ends, loops, demand, n, budget), counts)
 

@@ -416,7 +416,7 @@ def _proper_padding(
     n, k, mu, lam, r = params.n, params.k, params.mu, params.lam, params.r
     matchings = _near_equal_matchings(n, mu - lam, k, seed)
     for i, (cls, extra) in enumerate(zip(classes, matchings)):
-        if any(extra.degree(v) > 1 for v in range(n)):
+        if any(d > 1 for d in extra.degrees()):
             raise InternalInconsistencyError(
                 f"pool class {i} is not a matching although k >= (mu-lambda)n"
             )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,19 @@ def test_check_b_battery_pass(tmp_path, capsys):
     assert out["regime"] == "B"
     assert out["battery"]["ok"] is True
     assert out["admissible_r"] is True
+
+
+def test_check_huge_r_exits_at_once(tmp_path, capsys):
+    # p = r(2n - m)/2 = 5 * 10^7: the deficiency sum runs over the class
+    # sizes, not over 0..p, so the verdict comes at once
+    path = write_instance(tmp_path)
+    start = time.monotonic()
+    code = cli.main(["check", str(path), "--m", "5", "--mu", "2", "--r", "100000000"])
+    assert time.monotonic() - start < 5
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failing = [c["name"] for c in out["battery"]["conditions"] if not c["passed"]]
+    assert failing[0] == "B1"
 
 
 def test_check_c_battery_failure(tmp_path, capsys):

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import inspect
-import signal
 import sys
-from contextlib import contextmanager
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -14,12 +12,12 @@ from enclosings import detach
 from enclosings.conditions import make_params
 from enclosings.decomp import Decomposition, Enclosing, restrict, verify_enclosing
 from enclosings.detach import (
-    BridgeForest,
     SplitRecord,
     build_amalgamated_triad,
     fair_detach,
     flow_split,
     is_good_triad,
+    path_ends,
     path_row_count,
     solve_split,
     verify_detachment,
@@ -280,7 +278,7 @@ def test_fair_detach_builds_no_rows_at_r2(monkeypatch):
     def refuse(*args):
         raise AssertionError("the row model was reached at r = 2")
 
-    monkeypatch.setattr(BridgeForest, "candidate_rows", refuse)
+    monkeypatch.setattr(detach, "candidate_rows", refuse)
     monkeypatch.setattr(detach, "solve_split", refuse)
     g, triad, params = desk_input("B", 7, 14, 2, 13, 1)
     detach_and_verify(g, triad, params, 1, 139)
@@ -468,6 +466,7 @@ def reference_rows(g, n, z, r, limit):
     each row onto z in a copy of g, check the class, move it back."""
     caps = [min(g.multiplicity(n, v), cap) for v, cap in enumerate(limit)]
     work = g.copy()
+    work.vertex_count = z + 1  # z joins, isolated
     neighbours = [v for v in range(z) if caps[v] and v != n]
     neighbours += [n] if caps[n] else []
     out = []
@@ -520,8 +519,8 @@ def split_states(draw):
 
 
 def candidate_rows(g, n, z, r, limit):
-    """The rows of g's bridge forest for the split of vertex z."""
-    return BridgeForest(g.induced(z), n).candidate_rows(r, limit)
+    """The rows of class g for the split of vertex z."""
+    return detach.candidate_rows(g.induced(z), n, r, limit)
 
 
 @given(split_states())
@@ -567,9 +566,8 @@ def test_candidate_rows_refuse_a_tree_that_meets_the_amalgam_once():
     g.add_edge(0, 1, 2)
     g.add_edge(1, 2)
     g.add_edge(0, 3)
-    forest = BridgeForest(g, 3)
     with pytest.raises(InternalInconsistencyError, match="meets it 1 times"):
-        forest.candidate_rows(2, [1, 1, 1, 0])
+        detach.candidate_rows(g, 3, 2, [1, 1, 1, 0])
 
 
 def test_path_ends_refuse_a_tree_that_meets_the_amalgam_three_times():
@@ -582,31 +580,15 @@ def test_path_ends_refuse_a_tree_that_meets_the_amalgam_three_times():
     g.add_edge(1, 2)
     assert g.is_two_edge_connected_spanning()
     with pytest.raises(InternalInconsistencyError, match="meets it 3 times"):
-        BridgeForest(g, 2).path_ends([2, 2, 2])
-
-
-def forest_shape(forest):
-    """What a bridge forest says about its class, free of block and tree
-    ids and of where each tree is rooted: each block's bridge count and
-    amalgam edges, the forest's edges as pairs of blocks, its roots, each
-    tree's reach, and the amalgam's multiplicities."""
-    vertices = [v for v in range(len(forest.up)) if v != forest.n]
-    blocks, trees = {}, {}
-    for v in vertices:
-        blocks.setdefault(forest.block(v), set()).add(v)
-        trees.setdefault(forest.tree(v), set()).add(v)
-    name = {b: frozenset(vs) for b, vs in blocks.items()}
-    return (
-        {name[b]: (forest.bridges[b], forest.amalgam[b]) for b in blocks},
-        {
-            frozenset((name[b], name[forest.block(forest.parent[b])]))
-            for b in blocks
-            if forest.parent[b] >= 0
-        },
-        sum(forest.parent[b] < 0 for b in blocks),
-        {frozenset(vs): forest.reach[t] for t, vs in trees.items()},
-        forest.mult,
-    )
+        path_ends(g, 2)
+    # a lone vertex 0 joined twice to amalgam 4, and the cycle 1 - 2 - 3,
+    # which misses the amalgam
+    g = Multigraph(5)
+    g.add_edge(0, 4, 2)
+    for u, v in [(1, 2), (2, 3), (3, 1)]:
+        g.add_edge(u, v)
+    with pytest.raises(InternalInconsistencyError, match="meets it 0 times"):
+        path_ends(g, 4)
 
 
 def split_demand(params, z):
@@ -643,9 +625,8 @@ def test_candidate_rows_match_reference_at_every_split(
 
     def checked(search, z):
         limit = split_demand(params, z)
-        for g, forest in zip(search.work, search.forests):
-            assert forest.candidate_rows(r, limit) == reference_rows(g, n, z, r, limit)
-            assert forest_shape(forest) == forest_shape(BridgeForest(g.induced(z), n))
+        for g in search.work:
+            assert detach.candidate_rows(g, n, r, limit) == reference_rows(g, n, z, r, limit)
         seen.append(z)
         return split(search, z)
 
@@ -687,10 +668,11 @@ def test_flow_split_agrees_with_rows_at_every_split(monkeypatch, regime, n, m, r
 
     def checked(search, z):
         demand = split_demand(params, z)
-        candidates = [f.candidate_rows(2, demand) for f in search.forests]
-        counts = [
-            path_row_count(f.path_ends(demand), min(f.mult[n], demand[n])) for f in search.forests
-        ]
+        candidates = [detach.candidate_rows(g, n, 2, demand) for g in search.work]
+        counts = []
+        for g in search.work:
+            ends, loops = path_ends(g, n)
+            counts.append(path_row_count(ends, min(loops, demand[n])))
         assert counts == [len(c) for c in candidates]
         rows = split(search, z)
         assert all(row in cand for row, cand in zip(rows, candidates))
@@ -715,7 +697,7 @@ def path_splits(draw):
     class or drawn at random."""
     z = draw(st.integers(min_value=2, max_value=6))
     n = draw(st.integers(min_value=0, max_value=z - 1))
-    forests = []
+    graphs = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         g = Multigraph(z)
         order = draw(st.permutations([v for v in range(z) if v != n]))
@@ -730,22 +712,26 @@ def path_splits(draw):
                 g.add_edge(path[-1], n)
                 path = []
         g.add_edge(n, n, draw(st.integers(min_value=0, max_value=3)))
-        forests.append(BridgeForest(g, n))
-    rows = [f.candidate_rows(2, [2] * z) for f in forests]
+        graphs.append(g)
+    rows = [detach.candidate_rows(g, n, 2, [2] * z) for g in graphs]
     if all(rows) and draw(st.booleans()):
         demand = column_sums([draw(st.sampled_from(c)) for c in rows], z)
     else:
         demand = draw(st.lists(st.integers(0, 4), min_size=z, max_size=z))
-    return forests, n, demand
+    return graphs, n, demand
 
 
 @given(path_splits())
 @settings(max_examples=300)
 def test_flow_split_agrees_with_solve_split(instance):
-    forests, n, demand = instance
-    candidates = [f.candidate_rows(2, demand) for f in forests]
-    ends = [f.path_ends(demand) for f in forests]
-    loops = [min(f.mult[n], demand[n]) for f in forests]
+    graphs, n, demand = instance
+    candidates = [detach.candidate_rows(g, n, 2, demand) for g in graphs]
+    ends, loops = [], []
+    for g in graphs:
+        paths, x = path_ends(g, n)
+        # a column with no demand takes no row entry
+        ends.append([[v for v in path if demand[v]] for path in paths])
+        loops.append(min(x, demand[n]))
     assert [path_row_count(e, x) for e, x in zip(ends, loops)] == [len(c) for c in candidates]
     rows, nodes, deepest = flow_split(ends, loops, demand, n, 10**6)
     assert (rows is not None) == (solve_split(candidates, demand, 10**6)[0] is not None)
@@ -754,7 +740,7 @@ def test_flow_split_agrees_with_solve_split(instance):
     if rows is not None:
         assert all(row in cand for row, cand in zip(rows, candidates))
         assert column_sums(rows, len(demand)) == demand
-        assert deepest == len(forests)
+        assert deepest == len(graphs)
 
 
 def test_flow_split_reports_a_split_with_no_solution():
@@ -765,111 +751,9 @@ def test_flow_split_reports_a_split_with_no_solution():
     g = Multigraph(3)
     g.add_edge(0, 2, 2)
     g.add_edge(1, 2, 2)
-    forest = BridgeForest(g, 2)
     demand = [1, 1, 2]
-    ends = forest.path_ends(demand)
-    assert ends == [[0], [1]]
-    assert forest.candidate_rows(2, demand) == [((0, 1), (1, 1))]
+    ends, loops = path_ends(g, 2)
+    assert (ends, loops) == ([[0], [1]], 0)
+    assert detach.candidate_rows(g, 2, 2, demand) == [((0, 1), (1, 1))]
     assert flow_split([ends, ends], [0, 0], demand, 2, 100) == (None, 2, 1)
     assert solve_split([[((0, 1), (1, 1))]] * 2, demand, 100)[0] is None
-
-
-@st.composite
-def class_states(draw):
-    """A good class with room for several splits: 2-edge-connected spanning
-    on 0..z-1 (a closed walk through every vertex, plus random edges), the
-    amalgam n with up to 12 more edges and up to 6 loops."""
-    r = draw(st.integers(min_value=2, max_value=4))
-    z = draw(st.integers(min_value=2, max_value=7))
-    n = draw(st.integers(min_value=0, max_value=z - 1))
-    g = Multigraph(z)
-    walk = draw(st.permutations(range(z)))
-    for u, v in zip(walk, walk[1:] + walk[:1]):
-        g.add_edge(u, v)
-    vertex = st.integers(min_value=0, max_value=z - 1)
-    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=6)):
-        if u != v:
-            g.add_edge(u, v)
-    for v in draw(st.lists(vertex, max_size=12)):
-        if v != n:
-            g.add_edge(v, n)
-    g.add_edge(n, n, draw(st.integers(min_value=0, max_value=6)))
-    picks = draw(st.lists(st.integers(min_value=0, max_value=10**6), max_size=6))
-    return g, n, r, picks
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail with TimeoutError after `seconds`: a forest whose parent
-    pointers form a cycle would otherwise walk it without end."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"forest update ran over {seconds} s")
-
-    before = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, before)
-
-
-def commit_rows(g, n, r, picks):
-    """Split vertices off class g one at a time, the row of each picked
-    from the carried forest's candidates, and check the forest against a
-    fresh build after each.  Returns what the splits did to the forest:
-    "link" when a row reached two trees, "merge" when it put two edges
-    into one tree, "double" for an entry of 2 or more below n."""
-    forest = BridgeForest(g, n)
-    g = g.copy()
-    seen = set()
-    for pick in picks:
-        rows = forest.candidate_rows(r, [r] * g.vertex_count)
-        if not rows:
-            break
-        row = rows[pick % len(rows)]
-        into = {}
-        for v, x in row:
-            if v != n:
-                into[forest.tree(v)] = into.get(forest.tree(v), 0) + x
-                if x >= 2:
-                    seen.add("double")
-        if len(into) >= 2:
-            seen.add("link")
-        if any(c >= 2 for c in into.values()):
-            seen.add("merge")
-        z = g.vertex_count
-        g.vertex_count = z + 1
-        for v, x in row:
-            g.remove_edge(n, v, x)
-            g.add_edge(z, v, x)
-        with time_limit(5):
-            forest.take(row)
-        assert g.is_two_edge_connected_spanning()
-        assert forest_shape(forest) == forest_shape(BridgeForest(g, n))
-    return seen
-
-
-@given(class_states())
-@settings(max_examples=300)
-def test_forest_update_matches_fresh_build(state):
-    commit_rows(*state)
-
-
-def test_forest_update_links_merges_and_takes_double_entries():
-    # F is two paths, 0 - 1 and 2 - 3; amalgam 4 meets 0 three times and
-    # every other end twice.  One edge to each path links the two trees, an
-    # edge to each end of one path merges the path's blocks, and two of 0's
-    # edges are a double entry: z hangs off block {0} by two parallel edges.
-    g = Multigraph(5)
-    g.add_edge(0, 1)
-    g.add_edge(2, 3)
-    for v in range(4):
-        g.add_edge(v, 4, 3 if v == 0 else 2)
-    g.add_edge(4, 4, 2)
-    assert g.is_two_edge_connected_spanning()
-    rows = BridgeForest(g, 4).candidate_rows(2, [2] * 5)
-    assert commit_rows(g, 4, 2, [rows.index(((0, 1), (2, 1)))]) == {"link"}
-    assert commit_rows(g, 4, 2, [rows.index(((0, 1), (1, 1)))]) == {"merge"}
-    assert commit_rows(g, 4, 2, [rows.index(((0, 2),))]) == {"double", "merge"}

@@ -206,6 +206,9 @@ def test_blocks_match_networkx(nx, g, data):
             for _ in range(mult):
                 ref.add_edge(u, v)
     bridges = {tuple(sorted(edge)) for edge in nx.bridges(ref)}
+    assert g.components(without) == sorted(
+        tuple(sorted(c)) for c in nx.connected_components(ref)
+    )
     ref.remove_edges_from(bridges)
     label, found = g.blocks(without)
     assert found == bridges

@@ -8,7 +8,8 @@ Instances are UTF-8 JSON files:
 Repeated pairs encode multiplicity.  The target parameters m, mu, r are
 command-line flags so that one inner instance can be tested against many
 targets.  Exit codes are a stable contract: 0 success, 1 condition or
-verification failure, 2 input error, 3 out-of-regime, cap exceeded or
+verification failure, 2 input error, 3 out-of-regime, cap exceeded (an
+exhaustive-search input above its cap, or a size above SIZE_CAP) or
 conditions that hold for parameters the construction does not cover,
 4 budget exhausted (in `enclose`, a node is one candidate row tried when
 r >= 3 and one flow path pushed when r = 2), 5 internal error (an
@@ -53,6 +54,17 @@ EXIT_INTERNAL = 5
 
 DEFAULT_BUDGET = 10_000_000
 
+# the most vertices an instance, enclosing or target may have, and the most
+# classes `gen` draws: mu*K_1000 already has 500 500 pairs
+SIZE_CAP = 1000
+
+
+def _cap(name: str, value: int) -> None:
+    """Refuse a size above SIZE_CAP, before any graph of that size is
+    built."""
+    if value > SIZE_CAP:
+        raise CapExceededError(f"{name}={value} exceeds the size cap {SIZE_CAP}")
+
 
 def _budget(args) -> int:
     """The --budget flag; below 1 is an input error."""
@@ -83,6 +95,7 @@ def load_instance(path: str | Path) -> tuple[int, int, int, Decomposition]:
             )
     if n < 1 or lam < 1 or k < 1:
         raise InstanceFormatError("n, lambda, k must be positive")
+    _cap(f"instance {path} field n", n)
     if not isinstance(raw_classes, list):
         raise InstanceFormatError(f"instance {path} field classes is not a list")
     if len(raw_classes) != k:
@@ -178,6 +191,7 @@ def cmd_check(args) -> int:
 
 def cmd_enclose(args) -> int:
     budget = _budget(args)
+    _cap("--m", args.m)
     n, lam, k, g = load_instance(args.instance)
     params = _params(n, args.m, lam, args.mu, args.r, k)
     try:
@@ -276,6 +290,8 @@ def cmd_gen(args) -> int:
         raise InstanceFormatError("n, lambda, k must be positive")
     if args.r < 2:
         raise InstanceFormatError(f"r={args.r} must be >= 2")
+    _cap("--n", args.n)
+    _cap("--k", args.k)
     if args.exhaustive:
         out_dir = Path(args.out or "instances")
         try:

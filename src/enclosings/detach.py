@@ -30,19 +30,17 @@ so only the cuts between them can fall below two edges.  Each split reads
 its classes from their working multigraphs alone, and nothing is carried
 from one split to the next.
 
-How a split is solved depends on r, and so does what a node of the budget
-is.  At r = 2 the class without the amalgam is a union of paths, each
-meeting the amalgam exactly twice (`path_ends`, one components pass), so a
-row passes exactly when it puts at most one edge into each path, and the
-split is one integral max-flow, class -> path -> column (`flow_split`): no
-row is built and nothing is searched, and a node is one path pushed.  At
-r >= 3 `candidate_rows` builds each class's rows on the bridge forest of
-the class without the amalgam, from one low-link pass per class per split
-(a row with at most one edge into each tree passes without a count), and
-`solve_split` searches them without recursion, branching on whichever
-class or column has the fewest live rows and failing a node as soon as a
-column needs more than its unplaced classes can still give, so no split
-rests on the order of the classes or the seed; a node is one row tried.
+`fair_detach` is that loop, and each split calls the route for its r,
+which also fixes what a node of the budget is.  At r = 2 (`_flow_rows`) the
+class without the amalgam is a union of paths, each meeting the amalgam
+exactly twice (`path_ends`, one components pass), so a row passes exactly
+when it puts at most one edge into each path, and the split is one integral
+max-flow, class -> path -> column (`flow_split`): no row is built, nothing
+is searched, and a node is one path pushed.  At r >= 3 (`_search_rows`)
+`candidate_rows` builds each class's rows on the bridge forest of the class
+without the amalgam, from one low-link pass per class, and `solve_split`
+searches them as an exact cover without recursion, branching on the most
+constrained class or column; a node is one row tried.
 """
 
 
@@ -503,8 +501,9 @@ def flow_split(
     tree (`candidate_rows`): a second edge into one tree leaves it no path
     from the split vertex to the amalgam.  So a split is an integral flow:
     source -> class i (capacity 2) -> each tree of i (capacity 1) -> column
-    v for each end v of the tree (capacity 1) -> sink (capacity demand[v]), with an arc
-    class i -> column n of capacity min(loops[i], 2).  Its saturating
+    v for each end v of the tree (capacity 1) -> sink (capacity demand[v]),
+    with an arc class i -> column n of capacity loops[i], which never
+    carries more than the 2 units class i has to send.  Its saturating
     integral flows are exactly the exact covers `solve_split` searches for
     (Ford and Fulkerson's integrality), so there is no search.  Paths
     straight from a class to a column are pushed greedily first, class by
@@ -518,7 +517,6 @@ def flow_split(
     left = list(demand)  # units each column still needs
     room = [2] * k  # units each class has still to send
     looped = [0] * k  # units each class sends over its loops, to column n
-    caps = [min(x, 2) for x in loops]
     sent = [[-1] * len(trees) for trees in ends]  # the column each tree sends to
     senders: list[dict[tuple[int, int], None]] = [{} for _ in demand]  # (class, tree)
 
@@ -530,7 +528,7 @@ def flow_split(
     def direct():
         """The paths from a class straight to a column, class by class."""
         for i, trees in enumerate(ends):
-            x = min(room[i], caps[i], left[n])
+            x = min(room[i], loops[i], left[n])
             if x:
                 yield i, [(i, -1, -1, n)], x
             for t, tree in enumerate(trees):
@@ -542,7 +540,7 @@ def flow_split(
         """Shortest augmenting paths, found by breadth-first search from
         the classes with room, while one is left.  The residual network is
         read off the flow: a class reaches the ends of its idle trees and,
-        below its cap, column n; a column reaches the other end of each
+        below its loops, column n; a column reaches the other end of each
         tree sending to it and that tree's class, and column n each class
         sending it loops."""
         while True:
@@ -552,7 +550,7 @@ def flow_split(
             for node in queue:
                 if node < 0:
                     i = ~node
-                    hops = [(n, i, -1)] if looped[i] < caps[i] else []
+                    hops = [(n, i, -1)] if looped[i] < loops[i] else []
                     for t, tree in enumerate(ends[i]):
                         if sent[i][t] < 0:
                             hops += [(v, i, t) for v in tree]
@@ -616,109 +614,37 @@ def flow_split(
     return rows, nodes, deepest
 
 
-class _SplitSearch:
-    """Split the amalgam one vertex at a time.
+def _flow_rows(
+    work: list[Multigraph], n: int, r: int, demand: list[int], budget: int,
+    rng: random.Random | None,
+) -> tuple[list[Row] | None, int, int, list[int]]:
+    """The split at r = 2 as one integral flow over each class's paths, in
+    an order the split's rng shuffles (`flow_split`).  Also returns the row
+    count of each class, in closed form (`path_row_count`)."""
+    ends, loops = [], []
+    for g in work:
+        paths, x = path_ends(g, n)
+        ends.append(paths)
+        loops.append(min(x, demand[n]))
+    if rng:
+        for paths in ends:
+            rng.shuffle(paths)
+    counts = [path_row_count(e, x) for e, x in zip(ends, loops)]
+    return (*flow_split(ends, loops, demand, n, budget), counts)
 
-    Each class lives in one working multigraph: the amalgamated class, with
-    the amalgam at vertex n, grown in place by one vertex for each split
-    vertex z = n+1, n+2, ...  The split of z picks one row per class: a
-    sparse count vector over the vertices below z, where row[v] amalgam-to-v
-    edges become z-to-v edges and row[n] amalgam loops become z-to-amalgam
-    edges.  Rows sum to r; column v sums to mu, and column n to mu times the
-    number of vertices the amalgam still stands for.  A row is a candidate
-    when its class stays 2-edge-connected spanning.  At r = 2 `flow_split`
-    picks one candidate per class as an integral flow over the paths
-    `path_ends` reads off each class, a node per path pushed; at r >= 3
-    `solve_split` picks one as an exact cover over `candidate_rows`, a node
-    per row tried.  Both read the working multigraphs afresh at each split,
-    where z is not yet a vertex.  Committing a split adds z to each working
-    multigraph and moves each row onto it; nothing else is kept.
 
-    `run` is one loop over the first m - n - 1 splits, each solved and then
-    committed and never revisited: a good state can always be completed, so
-    a split with no solution is an internal inconsistency.  What is left of
-    the amalgam is then vertex n: its rows are forced, and the last split
-    (or `is_good_triad`, when m = n + 1) has already checked the classes
-    they give.
-    """
-
-    def __init__(self, t: Decomposition, params: EnclosureParams, seed: int, budget: int):
-        self.n = params.n
-        self.m = params.m
-        self.r = params.r
-        self.mu = params.mu
-        self.budget = budget
-        self.stats = DetachStats()
-        self.rng = random.Random(seed) if seed else None
-        self.work = [cls.copy() for cls in t.classes]
-
-    def run(self) -> list[Multigraph]:
-        n, m = self.n, self.m
-        for z in range(n + 1, m):
-            rows = self._split(z)
-            if rows is None:
-                if self.stats.nodes >= self.budget:
-                    stalled = self.stats.splits[-1]
-                    raise BudgetExhaustedError(
-                        f"detachment search exceeded {self.budget} nodes in the "
-                        f"split of vertex {z}, {stalled.nodes} of them there; at "
-                        f"most {stalled.deepest} of {len(self.work)} classes held "
-                        "a row at once"
-                    )
-                raise InternalInconsistencyError(
-                    f"split of vertex {z} has no solution; the good triad "
-                    "guarantee says one exists"
-                )
-            for g, row in zip(self.work, rows):
-                g.vertex_count = z + 1  # z joins
-                for v, x in row:
-                    g.remove_edge(n, v, x)
-                    g.add_edge(z, v, x)
-        return self.work
-
-    def _split(self, z: int) -> list[Row] | None:
-        """One row per class for the split of vertex z, or None when the
-        budget ran out or no assignment exists."""
-        start = time.monotonic()
-        demand = [self.mu] * z
-        demand[self.n] = self.mu * (self.m - z)
-        solve = self._flow if self.r == 2 else self._search
-        rows, nodes, deepest, counts = solve(demand, self.budget - self.stats.nodes)
-        self.stats.nodes += nodes
-        self.stats.splits.append(SplitRecord(
-            z, nodes, min(counts), max(counts), deepest, time.monotonic() - start
-        ))
-        return rows
-
-    def _search(
-        self, demand: list[int], budget: int
-    ) -> tuple[list[Row] | None, int, int, list[int]]:
-        """The split as an exact cover: every class's candidate rows, in an
-        order the split's rng shuffles, searched by `solve_split`.  Also
-        returns the row count of each class."""
-        candidates = [candidate_rows(g, self.n, self.r, demand) for g in self.work]
-        if self.rng:
-            for cand in candidates:
-                self.rng.shuffle(cand)
-        return (*solve_split(candidates, demand, budget), [len(c) for c in candidates])
-
-    def _flow(
-        self, demand: list[int], budget: int
-    ) -> tuple[list[Row] | None, int, int, list[int]]:
-        """The split at r = 2 as one integral flow over each class's paths,
-        in an order the split's rng shuffles (`flow_split`).  Also returns
-        the row count of each class, in closed form (`path_row_count`)."""
-        n = self.n
-        ends, loops = [], []
-        for g in self.work:
-            paths, x = path_ends(g, n)
-            ends.append(paths)
-            loops.append(min(x, demand[n]))
-        if self.rng:
-            for paths in ends:
-                self.rng.shuffle(paths)
-        counts = [path_row_count(e, x) for e, x in zip(ends, loops)]
-        return (*flow_split(ends, loops, demand, n, budget), counts)
+def _search_rows(
+    work: list[Multigraph], n: int, r: int, demand: list[int], budget: int,
+    rng: random.Random | None,
+) -> tuple[list[Row] | None, int, int, list[int]]:
+    """The split at r >= 3 as an exact cover: every class's candidate rows,
+    in an order the split's rng shuffles, searched by `solve_split`.  Also
+    returns the row count of each class."""
+    candidates = [candidate_rows(g, n, r, demand) for g in work]
+    if rng:
+        for cand in candidates:
+            rng.shuffle(cand)
+    return (*solve_split(candidates, demand, budget), [len(c) for c in candidates])
 
 
 def fair_detach(
@@ -730,25 +656,69 @@ def fair_detach(
     """Fully expand the amalgam into m - n concrete vertices so that every
     class is an r-regular 2-edge-connected spanning subgraph and every pair
     has multiplicity exactly mu.  A solution always exists for a good triad;
-    running out of budget is reported as such, never as nonexistence."""
-    n = params.n
-    if params.m <= n or t.base.vertex_count != n + 1:
+    running out of budget is reported as such, never as nonexistence.
+
+    Each class lives in one working multigraph, the amalgamated class grown
+    in place by one vertex per split vertex z = n+1, ..., m-1.  The split of
+    z picks one row per class: a sparse count vector over the vertices below
+    z, where row[v] amalgam-to-v edges become z-to-v edges and row[n]
+    amalgam loops become z-to-amalgam edges.  Rows sum to r; column v sums
+    to mu, and column n to mu times the vertices the amalgam still stands
+    for.  A row is a candidate when its class stays 2-edge-connected
+    spanning.  The route for r reads the working multigraphs afresh, where
+    z is not yet a vertex: `_flow_rows` at r = 2, `_search_rows` at r >= 3.
+    Committing a split moves each row onto z; nothing else is kept.  Each
+    split is solved, committed and never revisited: a good state can always
+    be completed, so a split with no solution below the budget is an
+    internal inconsistency.  What is left of the amalgam is then vertex n:
+    its rows are forced, and the last split (or `is_good_triad`, when
+    m = n + 1) has already checked the classes they give.
+    """
+    n, m, mu, r = params.n, params.m, params.mu, params.r
+    if m <= n or t.base.vertex_count != n + 1:
         raise PreconditionError(
             f"expected an amalgamated decomposition on n + 1 = {n + 1} vertices "
-            f"and m > n; got {t.base.vertex_count} vertices and m = {params.m}"
+            f"and m > n; got {t.base.vertex_count} vertices and m = {m}"
         )
     if any(t.base.multiplicity(v, v) for v in range(n)):
         raise PreconditionError("only the amalgam may carry loops")
     if not is_good_triad(t, params):
         raise PreconditionError("triad is not good; cannot detach")
     start = time.monotonic()
-    search = _SplitSearch(t, params, seed, budget)
-    classes = search.run()
-    search.stats.wall_time = time.monotonic() - start
+    stats = DetachStats()
+    rng = random.Random(seed) if seed else None
+    work = [cls.copy() for cls in t.classes]
+    route = _flow_rows if r == 2 else _search_rows
+    for z in range(n + 1, m):
+        began = time.monotonic()
+        demand = [mu] * z
+        demand[n] = mu * (m - z)
+        rows, nodes, deepest, counts = route(work, n, r, demand, budget - stats.nodes, rng)
+        stats.nodes += nodes
+        stats.splits.append(SplitRecord(
+            z, nodes, min(counts), max(counts), deepest, time.monotonic() - began
+        ))
+        if rows is None:
+            if stats.nodes >= budget:
+                raise BudgetExhaustedError(
+                    f"detachment search exceeded {budget} nodes in the split of "
+                    f"vertex {z}, {nodes} of them there; at most {deepest} of "
+                    f"{len(work)} classes held a row at once"
+                )
+            raise InternalInconsistencyError(
+                f"split of vertex {z} has no solution; the good triad "
+                "guarantee says one exists"
+            )
+        for g, row in zip(work, rows):
+            g.vertex_count = z + 1  # z joins
+            for v, x in row:
+                g.remove_edge(n, v, x)
+                g.add_edge(z, v, x)
+    stats.wall_time = time.monotonic() - start
 
-    result = Decomposition(complete_multigraph(params.m, params.mu), tuple(classes))
+    result = Decomposition(complete_multigraph(m, mu), tuple(work))
     result.validate_partition()
-    return DetachmentWitness(result=result, stats=search.stats)
+    return DetachmentWitness(result=result, stats=stats)
 
 
 def verify_detachment(

@@ -19,7 +19,8 @@ class InstanceFormatError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """An exhaustive-search input is larger than the desk-scale cap."""
+    """An input is larger than a cap: the exhaustive search's desk-scale cap,
+    or the command line's size cap."""
 
 
 class BudgetExhaustedError(RuntimeError):

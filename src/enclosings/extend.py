@@ -269,25 +269,27 @@ def _color_rest(
                     f"no admissible color for edge {edge}; this cannot happen "
                     "when r*k = mu*(m-1) and m >= 2n-1"
                 )
-            _unblock(edge, classes, pool, g, r, trace)
+            _unblock(edge, classes, degrees, pool, g, r, trace)
             degrees = [cls.degrees() for cls in classes]
 
 
 def _unblock(
     edge: tuple[int, int],
     classes: list[Multigraph],
+    degrees: list[list[int]],
     pool: Multigraph,
     g: Decomposition,
     r: int,
     trace: ExtensionTrace,
 ) -> None:
-    """Unblock `edge` in the m = 2n-2 regime, as `_color_rest` describes."""
+    """Unblock `edge` in the m = 2n-2 regime, as `_color_rest` describes;
+    degrees[i] holds the class degrees of classes[i]."""
     x, y = edge
     j = next(
         (
             i
-            for i, cls in enumerate(classes)
-            if cls.multiplicity(x, y) == cls.degree(x) == cls.degree(y) == r - 1
+            for i, (cls, deg) in enumerate(zip(classes, degrees))
+            if cls.multiplicity(x, y) == deg[x] == deg[y] == r - 1
         ),
         None,
     )
@@ -295,14 +297,13 @@ def _unblock(
         raise InternalInconsistencyError(
             f"edge {edge} blocked but no class holds exactly {r - 1} parallel copies"
         )
-    cls_j = classes[j]
+    cls_j, deg_j = classes[j], degrees[j]
     u = None
     for comp in cls_j.components():
         if x in comp:
             continue
-        degrees = {v: cls_j.degree(v) for v in comp}
-        below = [v for v in comp if degrees[v] < r - 1]
-        exact = [v for v in comp if degrees[v] == r - 1]
+        below = [v for v in comp if deg_j[v] < r - 1]
+        exact = [v for v in comp if deg_j[v] == r - 1]
         if below:
             u = below[0]
         elif len(exact) >= 2:

@@ -373,6 +373,30 @@ def test_oracle_cap_exceeded(tmp_path, capsys):
     assert code == 3
 
 
+BIG = cli.SIZE_CAP + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{big}", "--m", str(2 * BIG), "--mu", "1", "--r", "2"],
+    ["verify", "{small}", "{big}", "--r", "2"],
+    ["enclose", "{small}", "--m", str(BIG), "--mu", "2", "--r", "2"],
+    ["gen", "--n", str(BIG), "--lambda", "1", "--k", "3", "--r", "2"],
+    ["gen", "--n", "7", "--lambda", "1", "--k", str(BIG), "--r", "2"],
+], ids=["instance-n", "enclosing-n", "enclose-m", "gen-n", "gen-k"])
+def test_sizes_above_the_cap_exit_3(tmp_path, capsys, argv):
+    # each input fails fast without the cap too (exit 0, 1 or 2), so a
+    # missing cap fails here rather than building mu*K_1001
+    paths = {
+        "big": str(write_instance(
+            tmp_path, {"n": BIG, "lambda": 1, "k": 1, "classes": [[]]}, "big.json"
+        )),
+        "small": str(write_instance(tmp_path)),
+    }
+    code = cli.main([arg.format(**paths) for arg in argv])
+    assert code == 3
+    assert "exceeds the size cap" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_gen_seed_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -256,7 +256,7 @@ def test_fair_detach_solves_splits_that_stalled(monkeypatch, regime, n, m, r, k,
     g, triad, params = desk_input(regime, n, m, r, k, seed)
     if r == 2:
         detach_and_verify(g, triad, params, seed, FLOW_PATHS[n, m, seed])
-        monkeypatch.setattr(detach._SplitSearch, "_flow", detach._SplitSearch._search)
+        monkeypatch.setattr(detach, "_flow_rows", detach._search_rows)
     detach_and_verify(g, triad, params, seed, nodes)
 
 
@@ -620,17 +620,20 @@ def test_candidate_rows_match_reference_at_every_split(
     monkeypatch, regime, n, m, r, k, seed
 ):
     _, triad, params = desk_input(regime, n, m, r, k, seed)
-    split = detach._SplitSearch._split
+    name = "_flow_rows" if r == 2 else "_search_rows"
+    route = getattr(detach, name)
     seen = []
 
-    def checked(search, z):
+    def checked(work, n, r, demand, budget, rng):
+        z = len(demand)
         limit = split_demand(params, z)
-        for g in search.work:
+        assert demand == limit
+        for g in work:
             assert detach.candidate_rows(g, n, r, limit) == reference_rows(g, n, z, r, limit)
         seen.append(z)
-        return split(search, z)
+        return route(work, n, r, demand, budget, rng)
 
-    monkeypatch.setattr(detach._SplitSearch, "_split", checked)
+    monkeypatch.setattr(detach, name, checked)
     fair_detach(triad, params, seed=seed, budget=50000)
     assert seen == list(range(n + 1, m))
 
@@ -652,7 +655,7 @@ def test_solve_split_agrees_with_milp_at_every_split(
     if r == 2:
         # fair_detach solves r = 2 splits by the flow; the row search takes
         # its place here
-        monkeypatch.setattr(detach._SplitSearch, "_flow", detach._SplitSearch._search)
+        monkeypatch.setattr(detach, "_flow_rows", detach._search_rows)
     fair_detach(triad, params, seed=seed, budget=50000)
     assert seen == list(range(n + 1, m))
 
@@ -663,29 +666,49 @@ def test_solve_split_agrees_with_milp_at_every_split(
 )
 def test_flow_split_agrees_with_rows_at_every_split(monkeypatch, regime, n, m, r, k, seed):
     _, triad, params = desk_input(regime, n, m, r, k, seed)
-    split = detach._SplitSearch._split
+    route = detach._flow_rows
     seen = []
 
-    def checked(search, z):
-        demand = split_demand(params, z)
-        candidates = [detach.candidate_rows(g, n, 2, demand) for g in search.work]
+    def checked(work, n, r, demand, budget, rng):
+        z = len(demand)
+        assert demand == split_demand(params, z)
+        candidates = [detach.candidate_rows(g, n, 2, demand) for g in work]
         counts = []
-        for g in search.work:
+        for g in work:
             ends, loops = path_ends(g, n)
             counts.append(path_row_count(ends, min(loops, demand[n])))
         assert counts == [len(c) for c in candidates]
-        rows = split(search, z)
+        found = route(work, n, r, demand, budget, rng)
+        rows = found[0]
         assert all(row in cand for row, cand in zip(rows, candidates))
         assert column_sums(rows, z) == demand
-        record = search.stats.splits[-1]
+        seen.append((z, counts))
+        return found
+
+    monkeypatch.setattr(detach, "_flow_rows", checked)
+    splits = fair_detach(triad, params, seed=seed, budget=50000).stats.splits
+    assert [z for z, _ in seen] == [record.z for record in splits] == list(range(n + 1, m))
+    for record, (_, counts) in zip(splits, seen):
         assert (record.min_candidates, record.max_candidates) == (min(counts), max(counts))
         assert record.deepest == k
-        seen.append(z)
-        return rows
 
-    monkeypatch.setattr(detach._SplitSearch, "_split", checked)
-    fair_detach(triad, params, seed=seed, budget=50000)
-    assert seen == list(range(n + 1, m))
+
+@pytest.mark.parametrize("short, error, message", [
+    (1, InternalInconsistencyError, "split of vertex 8 has no solution"),
+    (0, BudgetExhaustedError, "exceeded 50000 nodes in the split of vertex 8, 50000 of"),
+])
+def test_fair_detach_tells_a_split_with_no_solution_from_a_spent_budget(
+    monkeypatch, short, error, message
+):
+    # a route that finds no rows with budget to spare breaks the good-triad
+    # guarantee; one that spends the whole budget has only run out
+    def no_rows(work, n, r, demand, budget, rng):
+        return None, budget - short, 0, [1]
+
+    monkeypatch.setattr(detach, "_flow_rows", no_rows)
+    _, triad, params = desk_input("B", 7, 14, 2, 13, 1)
+    with pytest.raises(error, match=message):
+        fair_detach(triad, params, seed=1, budget=50000)
 
 
 @st.composite

@@ -371,27 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the first entry whose types match gives the exit code
+EXIT_CODES = (
+    ((InstanceFormatError,), EXIT_INPUT),
+    ((CapExceededError,), EXIT_REGIME),
+    ((PreconditionError,), EXIT_FAIL),
+    ((BudgetExhaustedError,), EXIT_BUDGET),
+    ((InternalInconsistencyError, RecursionError), EXIT_INTERNAL),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_REGIME
-    except PreconditionError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_FAIL
-    except BudgetExhaustedError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_BUDGET
-    except (InternalInconsistencyError, RecursionError) as exc:
-        detail = f"internal error: {type(exc).__name__}: {exc}"
+    except tuple(t for types, _ in EXIT_CODES for t in types) as exc:
+        code = next(c for types, c in EXIT_CODES if isinstance(exc, types))
+        detail = str(exc)
+        if code == EXIT_INTERNAL:  # a bug: name its type
+            detail = f"internal error: {type(exc).__name__}: {exc}"
         print(json.dumps({"error": detail}), file=sys.stderr)
-        return EXIT_INTERNAL
+        return code
 
 
 if __name__ == "__main__":

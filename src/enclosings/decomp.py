@@ -170,6 +170,25 @@ def restrict(outer: Enclosing | Decomposition, n: int) -> Decomposition:
     )
 
 
+def factorization_problems(d: Decomposition, m: int, mu: int, r: int) -> list[str]:
+    """Diagnostics against `d` being a 2-edge-connected r-factorization of
+    mu*K_m: its base, its partition, each class's degrees and
+    2-edge-connectivity.  Empty when it is one."""
+    problems: list[str] = []
+    if d.base != complete_multigraph(m, mu):
+        problems.append(f"outer base is not the complete multigraph on {m} vertices with multiplicity {mu}")
+    try:
+        d.validate_partition()
+    except ValueError as exc:
+        problems.append(str(exc))
+    for i, cls in enumerate(d.classes):
+        if any(deg != r for deg in cls.degrees()):
+            problems.append(f"class {i} is not {r}-regular on all {m} vertices")
+        if not cls.is_two_edge_connected_spanning():
+            problems.append(f"class {i} is not 2-edge-connected spanning")
+    return problems
+
+
 def verify_enclosing(inner: Decomposition, outer: Enclosing, params) -> tuple[bool, list[str]]:
     """Check that `outer` is a 2-edge-connected r-factorization of the
     complete multigraph mu*K_m that classwise contains `inner`.
@@ -180,20 +199,7 @@ def verify_enclosing(inner: Decomposition, outer: Enclosing, params) -> tuple[bo
         raise ValueError(
             f"class counts differ: inner has {inner.k}, outer has {outer.outer.k}"
         )
-    problems: list[str] = []
-    m, mu, r = params.m, params.mu, params.r
-    target = complete_multigraph(m, mu)
-    if outer.outer.base != target:
-        problems.append(f"outer base is not the complete multigraph on {m} vertices with multiplicity {mu}")
-    try:
-        outer.outer.validate_partition()
-    except ValueError as exc:
-        problems.append(str(exc))
-    for i, cls in enumerate(outer.outer.classes):
-        if any(deg != r for deg in cls.degrees()):
-            problems.append(f"class {i} is not {r}-regular on all {m} vertices")
-        if not cls.is_two_edge_connected_spanning():
-            problems.append(f"class {i} is not 2-edge-connected spanning")
+    problems = factorization_problems(outer.outer, params.m, params.mu, params.r)
     n = outer.inner_vertex_count
     for i, (inner_cls, outer_cls) in enumerate(zip(inner.classes, outer.outer.classes)):
         for (u, v), mult in inner_cls.edges.items():

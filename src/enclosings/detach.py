@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 
 from .conditions import EnclosureParams, check_a_prime
-from .decomp import Decomposition
+from .decomp import Decomposition, factorization_problems
 from .errors import (
     BudgetExhaustedError,
     InternalInconsistencyError,
@@ -725,17 +725,15 @@ def verify_detachment(
     w: DetachmentWitness, t: Decomposition, params: EnclosureParams
 ) -> tuple[bool, list[str]]:
     """Independent re-check of the detachment contract: color-preserving
-    edge correspondence under v -> min(v, n), exact class degrees, exact
-    pair multiplicities, and 2-edge-connectivity of every class."""
-    problems: list[str] = []
+    edge correspondence under v -> min(v, n), then the result being a
+    2-edge-connected r-factorization of mu*K_m (`factorization_problems`)."""
     n, m, mu, r = params.n, params.m, params.mu, params.r
     if w.result.base.vertex_count != m:
-        problems.append(f"result has {w.result.base.vertex_count} vertices, expected {m}")
-        return (False, problems)
+        return (False, [f"result has {w.result.base.vertex_count} vertices, expected {m}"])
     if w.result.k != t.k:
-        problems.append("class counts differ between witness and triad")
-        return (False, problems)
+        return (False, ["class counts differ between witness and triad"])
 
+    problems: list[str] = []
     # color correspondence: per class, pushing result edges through
     # v -> min(v, n) must reproduce the triad class exactly; u <= v keeps
     # each pushed pair normalized
@@ -746,20 +744,5 @@ def verify_detachment(
             pushed[key] = pushed.get(key, 0) + mult
         if pushed != tri_cls.edges:
             problems.append(f"class {i} does not map onto the triad class")
-
-    for i, cls in enumerate(w.result.classes):
-        for v, d in enumerate(cls.degrees()):
-            if d != r:
-                problems.append(f"class {i} degree at {v} is {d}, expected {r}")
-                break
-        if not cls.is_two_edge_connected_spanning():
-            problems.append(f"class {i} is not 2-edge-connected spanning")
-
-    for u in range(m):
-        for v in range(u + 1, m):
-            total = sum(cls.multiplicity(u, v) for cls in w.result.classes)
-            if total != mu:
-                problems.append(
-                    f"pair {(u, v)} has multiplicity {total}, expected {mu}"
-                )
+    problems += factorization_problems(w.result, m, mu, r)
     return (not problems, problems)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import accumulate, product
+from math import comb
 from typing import Iterator
 
 from .conditions import EnclosureParams
@@ -28,6 +30,7 @@ from .mgraph import Multigraph, complete_multigraph
 
 SLOT_CAP = 40  # colored edge slots brute_force_enclose will search
 EDGE_CAP = 12  # edges enumerate_decompositions will split
+ASSIGNMENT_CAP = 10**6  # raw assignments enumerate_decompositions will walk
 MAX_RESTARTS = 50  # random assignments random_admissible tries
 REPAIRS_PER_EDGE = 200  # its one-edge moves per assignment, per edge
 
@@ -106,25 +109,35 @@ def brute_force_admissible(d: Decomposition, r: int) -> bool:
 def _pair_distributions(
     total: int, lower: list[int], upper: list[int]
 ) -> Iterator[list[int]]:
-    """All vectors c with lower <= c <= upper componentwise and sum(c) = total."""
+    """All vectors c with lower <= c <= upper componentwise and sum(c) = total,
+    in lexicographic order.  An odometer, not a recursion, so any number of
+    classes fits in one frame."""
     k = len(lower)
-    vec = [0] * k
-
-    def rec(i: int, left: int):
-        if i == k:
-            if left == 0:
-                yield list(vec)
+    min_from = list(accumulate(reversed(lower), initial=0))[::-1]
+    max_from = list(accumulate(reversed(upper), initial=0))[::-1]
+    vec, high = [0] * k, [0] * k
+    i, left = 0, total  # left = total - sum(vec[:i])
+    while True:
+        if i < k:
+            # the least digit that the digits after it can still complete
+            vec[i] = max(lower[i], left - max_from[i + 1])
+            high[i] = min(upper[i], left - min_from[i + 1])
+            if vec[i] <= high[i]:
+                left -= vec[i]
+                i += 1
+                continue
+        elif left == 0:
+            yield list(vec)
+        # turn the last digit still below its high one step, or stop
+        i -= 1
+        while i >= 0 and vec[i] == high[i]:
+            left += vec[i]
+            i -= 1
+        if i < 0:
             return
-        remaining_min = sum(lower[i + 1 :])
-        remaining_max = sum(upper[i + 1 :])
-        low = max(lower[i], left - remaining_max)
-        high = min(upper[i], left - remaining_min)
-        for x in range(low, high + 1):
-            vec[i] = x
-            yield from rec(i + 1, left - x)
-        vec[i] = 0
-
-    yield from rec(0, total)
+        vec[i] += 1
+        left -= 1
+        i += 1
 
 
 def brute_force_enclose(
@@ -258,8 +271,9 @@ def enumerate_decompositions(
     per-pair count vectors (copies of the same pair are interchangeable, so
     for lam = 1 this is exactly the k^E raw assignments).  With dedup=True,
     decompositions equal up to a color permutation are emitted once, keyed
-    by sorting classes by (size, edge list).  More than EDGE_CAP edges raise
-    CapExceededError."""
+    by sorting classes by (size, edge list).  More than EDGE_CAP edges, or
+    more than ASSIGNMENT_CAP raw assignments (C(lam+k-1, lam) per pair),
+    raise CapExceededError."""
     total_edges = lam * n * (n - 1) // 2
     if total_edges > EDGE_CAP:
         raise CapExceededError(
@@ -267,34 +281,29 @@ def enumerate_decompositions(
         )
     base = complete_multigraph(n, lam)
     pairs = sorted(base.edges)
+    assignments = comb(lam + k - 1, lam) ** len(pairs)
+    if assignments > ASSIGNMENT_CAP:
+        raise CapExceededError(
+            f"{assignments} assignments exceed the enumeration cap {ASSIGNMENT_CAP}"
+        )
+    dists = list(_pair_distributions(lam, [0] * k, [lam] * k))
     seen: set[tuple] = set()
-
-    def rec(idx: int, classes: list[Multigraph]) -> Iterator[Decomposition]:
-        if idx == len(pairs):
-            d = Decomposition(base, tuple(cls.copy() for cls in classes))
-            if dedup:
-                key = tuple(
-                    sorted(
-                        (cls.edge_count(), tuple(sorted(cls.edges.items())))
-                        for cls in d.classes
-                    )
+    for choice in product(dists, repeat=len(pairs)):
+        classes = [Multigraph(n) for _ in range(k)]
+        for (u, v), dist in zip(pairs, choice):
+            for i, c in enumerate(dist):
+                classes[i].add_edge(u, v, c)
+        if dedup:
+            key = tuple(
+                sorted(
+                    (cls.edge_count(), tuple(sorted(cls.edges.items())))
+                    for cls in classes
                 )
-                if key in seen:
-                    return
-                seen.add(key)
-            yield d
-            return
-        u, v = pairs[idx]
-        for dist in _pair_distributions(lam, [0] * k, [lam] * k):
-            for i, c in enumerate(dist):
-                if c:
-                    classes[i].add_edge(u, v, c)
-            yield from rec(idx + 1, classes)
-            for i, c in enumerate(dist):
-                if c:
-                    classes[i].remove_edge(u, v, c)
-
-    yield from rec(0, [Multigraph(n) for _ in range(k)])
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+        yield Decomposition(base, tuple(classes))
 
 
 def almost_regular_degree_bounds(size: int, n: int) -> tuple[int, int]:
@@ -335,6 +344,9 @@ def bryant_decompose(n: int, lam: int, sizes: list[int]) -> Decomposition:
         inc[pair[1]] += lam
 
     def distributions(idx: int) -> list[list[int]]:
+        """Copies per class within each class's room, at most lam in all,
+        in descending lexicographic order: the last entry of each vector
+        from `_pair_distributions` is the copies left unused."""
         u, v = pairs[idx]
         room = []
         for i in range(t):
@@ -345,19 +357,8 @@ def bryant_decompose(n: int, lam: int, sizes: list[int]) -> Decomposition:
                 bounds[i][1] - degrees[i][v],
             )
             room.append(max(0, cap))
-        out: list[list[int]] = []
-
-        def rec(i: int, left: int, current: list[int]):
-            if i == t:
-                out.append(list(current))
-                return
-            for x in range(min(room[i], left), -1, -1):
-                current.append(x)
-                rec(i + 1, left - x, current)
-                current.pop()
-
-        rec(0, lam, [])
-        return out
+        dists = list(_pair_distributions(lam, [0] * (t + 1), room + [lam]))
+        return [dist[:t] for dist in reversed(dists)]
 
     def feasible(idx: int) -> bool:
         remaining_total = lam * (len(pairs) - idx)

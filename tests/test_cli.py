@@ -357,6 +357,18 @@ def test_oracle_found_and_none(tmp_path, capsys):
     assert report["status"] == "NONE"
 
 
+def test_oracle_many_empty_classes_is_none(tmp_path, capsys):
+    # one frame per class used to reach the recursion limit at k = 995
+    payload = instance_payload()
+    payload["k"] = 995
+    payload["classes"] = [[[0, 1]], [[0, 2]], [[1, 2]]] + [[]] * 992
+    path = write_instance(tmp_path, payload)
+    code = cli.main(["oracle", str(path), "--m", "4", "--mu", "1", "--r", "2",
+                     "--budget", "100000"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "NONE"
+
+
 def test_oracle_cap_exceeded(tmp_path, capsys):
     payload = {
         "n": 4,
@@ -418,6 +430,17 @@ def test_gen_exhaustive_sequence(tmp_path, capsys):
     assert len(files) == 5
     for f in files:
         load_instance(f)
+
+
+def test_gen_exhaustive_over_the_assignment_cap_exits_3(tmp_path, capsys):
+    out_dir = tmp_path / "all"
+    start = time.monotonic()
+    code = cli.main(["gen", "--n", "5", "--lambda", "1", "--k", "13",
+                     "--exhaustive", "--out", str(out_dir)])
+    assert time.monotonic() - start < 5
+    assert code == 3
+    assert "assignments" in json.loads(capsys.readouterr().err)["error"]
+    assert not any(out_dir.iterdir())
 
 
 @pytest.mark.parametrize(

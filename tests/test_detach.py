@@ -461,6 +461,67 @@ def test_verify_detachment_reports_wrong_vertex_count():
     assert problems == ["result has 3 vertices, expected 4"]
 
 
+def b7_detachment():
+    """B n=7, m=14, seed 1: params, triad and fair_detach witness."""
+    params = make_params(n=7, m=14, lam=1, mu=2, r=2, k=13)
+    g = random_admissible(7, 1, 13, 2, seed=1)
+    full, _ = enclose_in_mu_kn(g, params, "B", seed=1)
+    triad = build_amalgamated_triad(full, params)
+    return params, triad, fair_detach(triad, params, seed=1)
+
+
+def test_verify_detachment_flags_a_swap_only_the_pair_totals_see():
+    # swap the split-vertex ends of two edges (a, x), (b, y) of one class:
+    # degrees stay, x and y both push to n, and the swap is picked to keep
+    # the class 2-edge-connected, so only the pair totals can tell
+    params, triad, witness = b7_detachment()
+    n = params.n
+    assert params.m - n >= 4
+    cls = witness.result.classes[0]
+    far = sorted((u, v) for u, v in cls.edges if u < n <= v)
+    for (a, x), (b, y) in product(far, far):
+        if a == b or x == y:
+            continue
+        swapped = cls.copy()
+        swapped.remove_edge(a, x)
+        swapped.remove_edge(b, y)
+        swapped.add_edge(a, y)
+        swapped.add_edge(b, x)
+        if swapped.is_two_edge_connected_spanning():
+            break
+    else:
+        pytest.fail("no swap keeps class 0 2-edge-connected")
+    assert swapped.degrees() == cls.degrees()
+    pushed = Multigraph(n + 1)
+    for u, v in swapped.edges:
+        pushed.add_edge(min(u, n), min(v, n), swapped.multiplicity(u, v))
+    assert pushed == triad.classes[0]
+    bad = type(witness)(
+        result=Decomposition(
+            witness.result.base, (swapped,) + witness.result.classes[1:]
+        ),
+        stats=witness.stats,
+    )
+    ok, problems = verify_detachment(bad, triad, params)
+    assert not ok
+    assert problems
+
+
+def test_verify_detachment_reads_no_multiplicity(monkeypatch):
+    params, triad, witness = b7_detachment()
+    calls = [0]
+    inner = Multigraph.multiplicity
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return inner(self, u, v)
+
+    monkeypatch.setattr(Multigraph, "multiplicity", counting)
+    ok, problems = verify_detachment(witness, triad, params)
+    assert ok, problems
+    assert calls[0] == 0
+
+
 def reference_rows(g, n, z, r, limit):
     """The rows `candidate_rows` should give, found the direct way: move
     each row onto z in a copy of g, check the class, move it back."""

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enclosings.conditions import make_params
 from enclosings.decomp import Decomposition, is_admissible, verify_enclosing
 from enclosings.errors import CapExceededError, PreconditionError
 from enclosings.mgraph import Multigraph, complete_multigraph
 from enclosings.oracle import (
+    ASSIGNMENT_CAP,
     EDGE_CAP,
+    _pair_distributions,
     brute_force_admissible,
     brute_force_enclose,
     enumerate_decompositions,
@@ -129,6 +133,47 @@ def test_enumeration_filter():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         list(enumerate_decompositions(6, 1, 2))
+
+
+def test_enumeration_assignment_cap():
+    # 10 edges are under EDGE_CAP, but 13 classes give 13**10 assignments
+    with pytest.raises(CapExceededError, match="assignments"):
+        next(enumerate_decompositions(5, 1, 13))
+    assert 3**10 <= ASSIGNMENT_CAP
+    assert next(enumerate_decompositions(5, 1, 3)).k == 3
+
+
+def recursive_pair_distributions(total, lower, upper):
+    """The recursive form, one frame per class: the reference order for
+    `_pair_distributions`."""
+    k = len(lower)
+    vec = [0] * k
+
+    def rec(i, left):
+        if i == k:
+            if left == 0:
+                yield list(vec)
+            return
+        low = max(lower[i], left - sum(upper[i + 1 :]))
+        high = min(upper[i], left - sum(lower[i + 1 :]))
+        for x in range(low, high + 1):
+            vec[i] = x
+            yield from rec(i + 1, left - x)
+        vec[i] = 0
+
+    yield from rec(0, total)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 4)), max_size=5),
+    st.integers(-1, 10),
+)
+def test_pair_distributions_match_the_recursion(bounds, total):
+    lower = [lo for lo, _ in bounds]
+    upper = [hi for _, hi in bounds]
+    assert list(_pair_distributions(total, lower, upper)) == list(
+        recursive_pair_distributions(total, lower, upper)
+    )
 
 
 def test_enumeration_is_deterministic():

@@ -293,15 +293,14 @@ def cmd_gen(args) -> int:
     _cap("--n", args.n)
     _cap("--k", args.k)
     if args.exhaustive:
+        decomps = enumerate_decompositions(args.n, args.lam, args.k, dedup=True)
         out_dir = Path(args.out or "instances")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InstanceFormatError(f"cannot create {out_dir}: {exc}") from exc
         written = []
-        for idx, d in enumerate(
-            enumerate_decompositions(args.n, args.lam, args.k, dedup=True)
-        ):
+        for idx, d in enumerate(decomps):
             path = out_dir / f"instance_{idx:04d}.json"
             write_json(path, serialize_decomposition(d, args.lam))
             written.append(str(path))
@@ -371,14 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the first entry whose types match gives the exit code
-EXIT_CODES = (
-    ((InstanceFormatError,), EXIT_INPUT),
-    ((CapExceededError,), EXIT_REGIME),
-    ((PreconditionError,), EXIT_FAIL),
-    ((BudgetExhaustedError,), EXIT_BUDGET),
-    ((InternalInconsistencyError, RecursionError), EXIT_INTERNAL),
-)
+# the exit code of each error a valid run can end in
+EXIT_CODES = {
+    InstanceFormatError: EXIT_INPUT,
+    CapExceededError: EXIT_REGIME,
+    PreconditionError: EXIT_FAIL,
+    BudgetExhaustedError: EXIT_BUDGET,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -386,13 +384,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except tuple(t for types, _ in EXIT_CODES for t in types) as exc:
-        code = next(c for types, c in EXIT_CODES if isinstance(exc, types))
+    except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
         detail = str(exc)
-        if code == EXIT_INTERNAL:  # a bug: name its type
-            detail = f"internal error: {type(exc).__name__}: {exc}"
-        print(json.dumps({"error": detail}), file=sys.stderr)
-        return code
+    except (InternalInconsistencyError, RecursionError) as exc:  # a bug
+        code = EXIT_INTERNAL
+        detail = f"internal error: {type(exc).__name__}: {exc}"
+    print(json.dumps({"error": detail}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -724,9 +724,9 @@ def fair_detach(
 def verify_detachment(
     w: DetachmentWitness, t: Decomposition, params: EnclosureParams
 ) -> tuple[bool, list[str]]:
-    """Independent re-check of the detachment contract: color-preserving
-    edge correspondence under v -> min(v, n), then the result being a
-    2-edge-connected r-factorization of mu*K_m (`factorization_problems`)."""
+    """Re-check the detachment contract: the color-preserving edge
+    correspondence under v -> min(v, n), then the shared
+    `decomp.factorization_problems` check of the result against mu*K_m."""
     n, m, mu, r = params.n, params.m, params.mu, params.r
     if w.result.base.vertex_count != m:
         return (False, [f"result has {w.result.base.vertex_count} vertices, expected {m}"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb
 from typing import Iterator
 
@@ -273,7 +273,7 @@ def enumerate_decompositions(
     decompositions equal up to a color permutation are emitted once, keyed
     by sorting classes by (size, edge list).  More than EDGE_CAP edges, or
     more than ASSIGNMENT_CAP raw assignments (C(lam+k-1, lam) per pair),
-    raise CapExceededError."""
+    raise CapExceededError here, before the first decomposition is built."""
     total_edges = lam * n * (n - 1) // 2
     if total_edges > EDGE_CAP:
         raise CapExceededError(
@@ -286,24 +286,34 @@ def enumerate_decompositions(
         raise CapExceededError(
             f"{assignments} assignments exceed the enumeration cap {ASSIGNMENT_CAP}"
         )
-    dists = list(_pair_distributions(lam, [0] * k, [lam] * k))
     seen: set[tuple] = set()
-    for choice in product(dists, repeat=len(pairs)):
-        classes = [Multigraph(n) for _ in range(k)]
-        for (u, v), dist in zip(pairs, choice):
-            for i, c in enumerate(dist):
-                classes[i].add_edge(u, v, c)
-        if dedup:
-            key = tuple(
-                sorted(
-                    (cls.edge_count(), tuple(sorted(cls.edges.items())))
-                    for cls in classes
+
+    def rec(idx: int, classes: list[Multigraph]) -> Iterator[Decomposition]:
+        if idx == len(pairs):
+            d = Decomposition(base, tuple(cls.copy() for cls in classes))
+            if dedup:
+                key = tuple(
+                    sorted(
+                        (cls.edge_count(), tuple(sorted(cls.edges.items())))
+                        for cls in d.classes
+                    )
                 )
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-        yield Decomposition(base, tuple(classes))
+                if key in seen:
+                    return
+                seen.add(key)
+            yield d
+            return
+        u, v = pairs[idx]
+        for dist in _pair_distributions(lam, [0] * k, [lam] * k):
+            for i, c in enumerate(dist):
+                if c:
+                    classes[i].add_edge(u, v, c)
+            yield from rec(idx + 1, classes)
+            for i, c in enumerate(dist):
+                if c:
+                    classes[i].remove_edge(u, v, c)
+
+    return rec(0, [Multigraph(n) for _ in range(k)])
 
 
 def almost_regular_degree_bounds(size: int, n: int) -> tuple[int, int]:
@@ -344,9 +354,8 @@ def bryant_decompose(n: int, lam: int, sizes: list[int]) -> Decomposition:
         inc[pair[1]] += lam
 
     def distributions(idx: int) -> list[list[int]]:
-        """Copies per class within each class's room, at most lam in all,
-        in descending lexicographic order: the last entry of each vector
-        from `_pair_distributions` is the copies left unused."""
+        """Copies per class within its room, at most lam in all, in
+        descending lexicographic order (the last entry is the unused ones)."""
         u, v = pairs[idx]
         room = []
         for i in range(t):

@@ -440,7 +440,18 @@ def test_gen_exhaustive_over_the_assignment_cap_exits_3(tmp_path, capsys):
     assert time.monotonic() - start < 5
     assert code == 3
     assert "assignments" in json.loads(capsys.readouterr().err)["error"]
-    assert not any(out_dir.iterdir())
+    assert not out_dir.exists()  # refused before the directory is made
+
+
+def test_gen_exhaustive_with_no_pairs_and_many_classes_is_quick(tmp_path, capsys):
+    out_dir = tmp_path / "all"
+    start = time.monotonic()
+    code = cli.main(["gen", "--n", "1", "--lambda", "3", "--k", "1000",
+                     "--exhaustive", "--out", str(out_dir)])
+    assert time.monotonic() - start < 5
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1
+    assert load_instance(out_dir / "instance_0000.json")[2] == 1000
 
 
 @pytest.mark.parametrize(

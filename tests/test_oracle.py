@@ -136,9 +136,10 @@ def test_enumeration_cap():
 
 
 def test_enumeration_assignment_cap():
-    # 10 edges are under EDGE_CAP, but 13 classes give 13**10 assignments
+    # 10 edges are under EDGE_CAP, but 13 classes give 13**10 assignments;
+    # refused on the call, before any decomposition is asked for
     with pytest.raises(CapExceededError, match="assignments"):
-        next(enumerate_decompositions(5, 1, 13))
+        enumerate_decompositions(5, 1, 13)
     assert 3**10 <= ASSIGNMENT_CAP
     assert next(enumerate_decompositions(5, 1, 3)).k == 3
 

@@ -8,7 +8,8 @@ Instances are UTF-8 JSON files:
 Repeated pairs encode multiplicity.  The target parameters m, mu, r are
 command-line flags so that one inner instance can be tested against many
 targets.  Exit codes are a stable contract: 0 success, 1 condition or
-verification failure, 2 input error, 3 out-of-regime, cap exceeded (an
+verification failure, 2 input error (an unwritable output, stdout closed
+included), 3 out-of-regime, cap exceeded (an
 exhaustive-search input above its cap, or a size above SIZE_CAP) or
 conditions that hold for parameters the construction does not cover,
 4 budget exhausted (in `enclose`, a node is one candidate row tried when
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -383,7 +385,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the interpreter's exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, detail = EXIT_INPUT, "cannot write to stdout: it was closed"
     except tuple(EXIT_CODES) as exc:
         code = next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
         detail = str(exc)

@@ -98,7 +98,9 @@ def build_amalgamated_triad(a: Decomposition, params: EnclosureParams) -> Decomp
     edges to each original vertex, which gives degree r at each x_j and
     rn - 2p = r(m-n) at x0.  The base is built in closed form: mu*K_n, plus
     mu(m-n) edges from x0 to each x_j, plus mu(m-n)(m-n-1)/2 loops at x0,
-    and the classes must partition it.
+    and the classes must partition it.  This is the one place an enclose
+    runs battery A, stage 2's precondition: a failing `a` raises
+    PreconditionError.
     """
     if params.m <= params.n:
         raise PreconditionError("nothing to detach: m must exceed n")
@@ -110,15 +112,11 @@ def build_amalgamated_triad(a: Decomposition, params: EnclosureParams) -> Decomp
     p = int(params.p)
     x0 = n
     classes = []
-    for i, cls in enumerate(a.classes):
-        loops = cls.edge_count() - p
-        if loops < 0:
-            raise InternalInconsistencyError(f"class {i} smaller than p")
+    for cls in a.classes:
+        # A3 makes the loop count >= 0, and A2 every degree <= r
         tri_cls = Multigraph(n + 1, cls.edges)
-        tri_cls.add_edge(x0, x0, loops)
+        tri_cls.add_edge(x0, x0, cls.edge_count() - p)
         for j, d in enumerate(cls.degrees()):
-            if d > r:
-                raise InternalInconsistencyError(f"class {i} exceeds degree {r} at {j}")
             tri_cls.add_edge(x0, j, r - d)
         classes.append(tri_cls)
 

@@ -25,9 +25,16 @@ is left in the pool one edge at a time (nothing, for T15).  Nothing
 searches: B is greedy, C fills its slots by counting, and T15 is a
 construction.
 
-Every single mutation re-checks admissibility of the touched classes and
-raises InternalInconsistencyError on failure: the constructions guarantee
-success, so a failed check is a bug, not an instance property.
+Every move but the coloring loop's goes through `_move`, which moves one
+copy from the pool or from another class and re-checks admissibility of
+every class it changed; `_color_rest` tries a class by adding the edge and
+checking it, and commits only an edge that passed.  Stage 1 ends with a size check: every class has at
+least p edges.  That is the one part of battery A the moves do not already
+guarantee (A1 is the regime battery's divisibility entry, A2 holds
+because the battery checked g and every move is re-checked), and
+`detach.build_amalgamated_triad` runs battery A itself.  A failed check
+raises InternalInconsistencyError: the constructions guarantee success, so
+a failed check is a bug, not an instance property.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .conditions import EnclosureParams, check_a_prime, check_regime
+from .conditions import EnclosureParams, check_regime
 from .decomp import Decomposition, class_admissibility_violation
 from .errors import ConditionsFailedError, InternalInconsistencyError, PreconditionError
 from .mgraph import Multigraph, complete_multigraph
@@ -109,16 +116,28 @@ def _take_spare(pool: Multigraph, order: list[tuple[int, int]]) -> tuple[int, in
     raise InternalInconsistencyError("spare pool exhausted")
 
 
-def _assert_class_admissible(cls: Multigraph, r: int, index: int, context: str) -> None:
-    violation = class_admissibility_violation(cls, r, index)
-    if violation is not None:
-        raise InternalInconsistencyError(
-            f"{context} broke admissibility: bullet {violation.bullet}, {violation.detail}"
-        )
-
-
-def _is_single_pair_class(cls: Multigraph) -> bool:
-    return len(cls.edges) == 1
+def _move(
+    classes: list[Multigraph],
+    pool: Multigraph,
+    trace: ExtensionTrace,
+    r: int,
+    kind: str,
+    pair: tuple[int, int],
+    i: int,
+    source: int | None = None,
+) -> None:
+    """Move one copy of `pair` into class i, from the pool or from class
+    `source`, record it, and re-check every class it changed."""
+    (pool if source is None else classes[source]).remove_edge(*pair)
+    classes[i].add_edge(*pair)
+    trace.record(kind, pair, i, source)
+    for j in (i,) if source is None else (i, source):
+        violation = class_admissibility_violation(classes[j], r, j)
+        if violation is not None:
+            raise InternalInconsistencyError(
+                f"{kind} {pair} into class {i} broke admissibility of class {j}: "
+                f"bullet {violation.bullet}, {violation.detail}"
+            )
 
 
 def _assign_slots(forbidden: list, copies: dict) -> list:
@@ -179,18 +198,14 @@ def _extend_to_r_via_matching(
 
     for i, cls in enumerate(classes):
         if cls.edge_count() == 0:
-            pair = _take_spare(pool, order)
-            pool.remove_edge(*pair)
-            cls.add_edge(*pair)
-            trace.record("pad", pair, i)
-            _assert_class_admissible(cls, r, i, f"seeding empty class {i}")
+            _move(classes, pool, trace, r, "pad", _take_spare(pool, order), i)
 
     slots: list[tuple[int, tuple[int, int] | None]] = []
     for i, cls in enumerate(classes):
         size = cls.edge_count()
         if not 1 <= size <= r - 1:
             continue
-        if _is_single_pair_class(cls):
+        if len(cls.edges) == 1:
             bad_pair = next(iter(cls.edges))
             slots.extend((i, None) for _ in range(r - size - 1))
             slots.append((i, bad_pair))
@@ -199,18 +214,7 @@ def _extend_to_r_via_matching(
 
     copies = {pair: pool.multiplicity(*pair) for pair in order}
     for (i, _), pair in zip(slots, _assign_slots([bad for _, bad in slots], copies)):
-        pool.remove_edge(*pair)
-        classes[i].add_edge(*pair)
-        trace.record("matching", pair, i)
-        _assert_class_admissible(classes[i], r, i, f"slot assignment to class {i}")
-
-    for i, cls in enumerate(classes):
-        if cls.edge_count() < r:
-            raise InternalInconsistencyError(f"class {i} still below {r} edges")
-        if cls.edge_count() == r and _is_single_pair_class(cls):
-            raise InternalInconsistencyError(
-                f"class {i} ended as {r} parallel edges despite its special slot"
-            )
+        _move(classes, pool, trace, r, "matching", pair, i)
 
 
 def _color_rest(
@@ -317,10 +321,7 @@ def _unblock(
 
     f = (min(x, u), max(x, u))
     if pool.multiplicity(*f) > 0:
-        pool.remove_edge(*f)
-        cls_j.add_edge(*f)
-        trace.record("color", f, j)
-        _assert_class_admissible(cls_j, r, j, f"coloring {f} with {j}")
+        _move(classes, pool, trace, r, "color", f, j)
         return
 
     c = next(
@@ -333,16 +334,8 @@ def _unblock(
     )
     if c is None:
         raise InternalInconsistencyError(f"no class holds a spare {f} copy to recolor")
-    classes[c].remove_edge(*f)
-    cls_j.add_edge(*f)
-    trace.record("recolor", f, j, from_cls=c)
-    _assert_class_admissible(cls_j, r, j, f"recoloring {f} into {j}")
-    _assert_class_admissible(classes[c], r, c, f"recoloring {f} out of {c}")
-
-    pool.remove_edge(*edge)
-    classes[c].add_edge(*edge)
-    trace.record("color", edge, c)
-    _assert_class_admissible(classes[c], r, c, f"coloring {edge} with freed class {c}")
+    _move(classes, pool, trace, r, "recolor", f, j, source=c)
+    _move(classes, pool, trace, r, "color", edge, c)
 
 
 def _near_equal_matchings(n: int, mult: int, k: int, seed: int = 0) -> list[Multigraph]:
@@ -412,24 +405,18 @@ def _proper_padding(
     place, taking its edges from the pool, which ends empty; the input has
     passed battery T15, whose class-count bound (T5) is what the builder
     needs.  The union of an (r-1)-admissible class and a matching stays
-    r-admissible, and the near-equal sizes give every class at least p
-    edges."""
+    r-admissible, and any part of a matching is a matching, so the class is
+    re-checked after each glued edge; the near-equal sizes give every class
+    at least p edges."""
     n, k, mu, lam, r = params.n, params.k, params.mu, params.lam, params.r
     matchings = _near_equal_matchings(n, mu - lam, k, seed)
-    for i, (cls, extra) in enumerate(zip(classes, matchings)):
+    for i, extra in enumerate(matchings):
         if any(d > 1 for d in extra.degrees()):
             raise InternalInconsistencyError(
                 f"pool class {i} is not a matching although k >= (mu-lambda)n"
             )
-        for a, b in sorted(extra.edges):
-            pool.remove_edge(a, b)
-            cls.add_edge(a, b)
-            trace.record("pad", (a, b), i)
-        _assert_class_admissible(cls, r, i, f"gluing pool class {i}")
-        if cls.edge_count() < params.p:
-            raise InternalInconsistencyError(
-                f"class {i} has {cls.edge_count()} < p = {params.p} edges"
-            )
+        for pair in sorted(extra.edges):
+            _move(classes, pool, trace, r, "pad", pair, i)
 
 
 def enclose_in_mu_kn(
@@ -443,6 +430,9 @@ def enclose_in_mu_kn(
     ConditionsFailedError, carrying the report, when the battery fails, and
     the steps behind it take the battery's conditions as given.  It is also
     the one place the stage-1 state is built; each step changes it in place.
+    It ends by checking that the result partitions mu*K_n and that every
+    class has at least p edges, and raises InternalInconsistencyError when
+    a class is short; battery A runs in `detach.build_amalgamated_triad`.
     """
     report = check_regime(mode, g, params)
     if not report.ok:
@@ -455,11 +445,8 @@ def enclose_in_mu_kn(
         _proper_padding(classes, pool, params, seed, trace)
     _color_rest(classes, pool, g, params, trace)
     result = Decomposition(complete_multigraph(params.n, params.mu), tuple(classes))
-
     result.validate_partition()
-    a_report = check_a_prime(result, params)
-    if not a_report.ok:
-        raise InternalInconsistencyError(
-            f"pipeline produced a decomposition failing {a_report.first_failing()}"
-        )
+    for i, size in enumerate(result.class_sizes()):
+        if size < params.p:
+            raise InternalInconsistencyError(f"class {i} has {size} < p = {params.p} edges")
     return result, trace

@@ -46,6 +46,35 @@ def _report(name: str, started: float, detail: str = "") -> float:
     return elapsed
 
 
+def _assert_factorization(d, m, mu, r):
+    """d is a 2-edge-connected r-factorization of mu*K_m, checked from the
+    definition on the classes' edge multisets alone, without the library's
+    own checks: every pair of the m vertices has total multiplicity mu,
+    there are no loops, every class is r-regular, and every class stays
+    connected when any one single-copy pair is deleted."""
+    total = {}
+    for cls in d.classes:
+        degree = [0] * m
+        for (u, v), x in cls.edges.items():
+            assert u != v, f"loop at {u}"
+            total[u, v] = total.get((u, v), 0) + x
+            degree[u] += x
+            degree[v] += x
+        assert degree == [r] * m
+        for cut in [None] + [pair for pair, x in cls.edges.items() if x == 1]:
+            reached, stack = {0}, [0]
+            while stack:
+                u = stack.pop()
+                for a, b in cls.edges:
+                    if (a, b) != cut and u in (a, b):
+                        w = a + b - u
+                        if w not in reached:
+                            reached.add(w)
+                            stack.append(w)
+            assert len(reached) == m, f"class disconnected without {cut}"
+    assert total == {(u, v): mu for u in range(m) for v in range(u + 1, m)}
+
+
 def _pipeline_encloses(g, params, mode, seed=0):
     """Constructive route end to end; False when the condition gate refuses."""
     try:
@@ -56,6 +85,7 @@ def _pipeline_encloses(g, params, mode, seed=0):
     witness = fair_detach(triad, params, seed=seed)
     ok, problems = verify_detachment(witness, triad, params)
     assert ok, problems
+    _assert_factorization(witness.result, params.m, params.mu, params.r)
     return True, Enclosing(witness.result, params.n)
 
 
@@ -166,6 +196,7 @@ def test_criterion_4_theorem_21_round_trip():
         enclosing = Enclosing(witness.result, 3)
         ok, problems = verify_enclosing(a, enclosing, params)
         assert ok, problems
+        _assert_factorization(witness.result, params.m, params.mu, params.r)
         assert restrict(enclosing, 3) == a  # equality, not containment
     assert passing > 0
     elapsed = _report("4 theorem-2.1-round-trip", started,

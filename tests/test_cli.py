@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import enclosings
 from enclosings import cli, conditions
 from enclosings.cli import load_instance, serialize_decomposition, write_json
 from enclosings.decomp import Decomposition
@@ -234,6 +238,27 @@ def test_enclose_runs_the_battery_once(tmp_path, capsys, monkeypatch):
     code = cli.main(["enclose", str(path), "--m", "5", "--mu", "2", "--r", "2",
                      "--out", str(tmp_path / "x.json"),
                      "--trace-out", str(tmp_path / "t.json")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_enclose_runs_battery_a_once(tmp_path, capsys):
+    # battery A is stage 2's precondition: the triad build runs it, and
+    # stage 1 ends with its own size check instead of a second run
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is conditions.check_a_prime.__code__:
+            calls.append(1)
+
+    path = write_instance(tmp_path)
+    sys.setprofile(count)
+    try:
+        code = cli.main(["enclose", str(path), "--m", "5", "--mu", "2", "--r", "2",
+                         "--out", str(tmp_path / "x.json"),
+                         "--trace-out", str(tmp_path / "t.json")])
+    finally:
+        sys.setprofile(None)
     assert code == 0
     assert len(calls) == 1
 
@@ -566,3 +591,31 @@ def test_gen_output_is_loadable(tmp_path, capsys):
     n, lam, k, d = load_instance(out)
     assert (n, lam, k) == (5, 2, 4)
     d.validate_partition()
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "gen"])
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, capsys, command):
+    inst, enc = write_instance(tmp_path), tmp_path / "enc.json"
+    assert cli.main(["enclose", str(inst), "--m", "5", "--mu", "2", "--r", "2",
+                     "--out", str(enc), "--trace-out", str(tmp_path / "t.json")]) == 0
+    argv = {
+        "check": ["check", str(inst), "--m", "5", "--mu", "2", "--r", "2"],
+        "verify": ["verify", str(inst), str(enc), "--r", "2"],
+        "gen": ["gen", "--n", "7", "--lambda", "1", "--k", "13", "--r", "2", "--seed", "1"],
+    }[command]
+    src = str(Path(enclosings.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        done = subprocess.run([sys.executable, "-m", "enclosings.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "cannot write to stdout: it was closed"

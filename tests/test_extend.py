@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from enclosings.conditions import check_a_prime, check_b, check_c, check_regime, make_params
 from enclosings.decomp import Decomposition, Enclosing, is_admissible, verify_enclosing
-from enclosings.detach import build_amalgamated_triad, fair_detach
+from enclosings import extend
+from enclosings.detach import build_amalgamated_triad, fair_detach, verify_detachment
 from enclosings.errors import (
     ConditionsFailedError,
     InternalInconsistencyError,
@@ -228,6 +229,50 @@ def test_c_stage1_exhaustive_n4(mu, r, inputs):
         assert check_a_prime(full, params).ok
         assert replay_trace(g, params, trace) == full
     assert seen == inputs
+
+
+def slot_load_bearing_input():
+    """A battery-C input on 2K5 (m=8, mu=3, r=3, k=7) with three empty
+    classes and a class of two parallel 34-edges."""
+    g = build(
+        5,
+        2,
+        [],
+        [],
+        [],
+        [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 4)],
+        [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (2, 4)],
+        [(0, 3), (0, 3), (1, 2), (1, 4), (1, 4), (2, 3)],
+        [(3, 4), (3, 4)],
+    )
+    return g, make_params(n=5, m=8, lam=2, mu=3, r=3, k=7)
+
+
+def test_c_slot_assignment_is_load_bearing(monkeypatch):
+    g, params = slot_load_bearing_input()
+    report = check_c(g, params)
+    assert report.ok
+    reasons = dict((name, reason) for name, _, reason in report.entries)
+    assert reasons["C3"] == "deficiency sum 10 vs bound 10"
+    assert reasons["C4"] == "pair (3, 4) sum 4 vs bound 9"
+    full, trace = enclose_in_mu_kn(g, params, "C", seed=1)
+    assert check_a_prime(full, params).ok
+    triad = build_amalgamated_triad(full, params)
+    witness = fair_detach(triad, params, seed=1)
+    assert witness.stats.nodes == 17
+    ok, problems = verify_detachment(witness, triad, params)
+    assert ok, problems
+    ok, problems = verify_enclosing(g, Enclosing(witness.result, 5), params)
+    assert ok, problems
+
+    # the coloring loop alone leaves class 6 below p = 3 edges ...
+    classes, pool, _ = start_state(g, params)
+    colored, _ = color_rest(classes, pool, g, params)
+    assert colored.class_sizes()[6] == 2 < params.p == 3
+    # ... and stage 1's size check refuses that result
+    monkeypatch.setattr(extend, "_extend_to_r_via_matching", lambda *args: None)
+    with pytest.raises(InternalInconsistencyError, match="class 6 has 2 < p = 3 edges"):
+        enclose_in_mu_kn(g, params, "C", seed=1)
 
 
 # ------------------------------------------------------------ color stepping

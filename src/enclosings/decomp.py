@@ -100,11 +100,23 @@ def class_admissibility_violation(
                 class_index, 1, f"vertex {v} has degree {deg} > r={r}"
             )
 
-    components = cls.components()
-    for comp in components:
-        low = sum(1 for v in comp if degrees[v] <= r - 1)
-        has_very_low = any(degrees[v] <= r - 2 for v in comp)
-        if not has_very_low and low < 2:
+    # one low-link pass gives the components (by their smallest vertex,
+    # the root of their DFS tree) and the blocks
+    label, bridges, root = cls.blocks()
+    # per root, the vertices of degree <= r-1, one of degree <= r-2 counting
+    # as two: bullet 2 holds exactly where this reaches 2.  A block is full
+    # when no vertex in it has degree <= r-1; degrees are measured in the
+    # class, bridges included.
+    low = [0] * cls.vertex_count
+    full = [True] * cls.vertex_count
+    for v, deg in enumerate(degrees):
+        if deg < r:
+            low[root[v]] += 2 if deg <= r - 2 else 1
+            full[label[v]] = False
+    # roots ascending are the components by smallest vertex
+    for v in range(cls.vertex_count):
+        if root[v] == v and low[v] < 2:
+            comp = tuple(u for u in range(cls.vertex_count) if root[u] == v)
             return AdmissibilityViolation(
                 class_index,
                 2,
@@ -117,24 +129,18 @@ def class_admissibility_violation(
     # whose edges are the bridges.  Cutting one bridge leaves a leaf block
     # (one that meets a single bridge) on each side, so both sides of every
     # cutedge hold a vertex of degree <= r-1 exactly when every leaf does.
-    label, bridges = cls.blocks()
     if not bridges:
         return None
     ends = [0] * cls.vertex_count
     for bridge in bridges:
         for v in bridge:
             ends[label[v]] += 1
-    # degrees are measured in the class, bridge included
-    full = [True] * cls.vertex_count
-    for v, deg in enumerate(degrees):
-        if deg < r:
-            full[label[v]] = False
     # vertices ascending meet the blocks by smallest vertex
     for v in range(cls.vertex_count):
         block = label[v]
         if ends[block] == 1 and full[block]:
             u, w = next(e for e in bridges if block in (label[e[0]], label[e[1]]))
-            comp = next(c for c in components if u in c)
+            comp = tuple(x for x in range(cls.vertex_count) if root[x] == root[u])
             return AdmissibilityViolation(
                 class_index,
                 3,

@@ -33,7 +33,7 @@ from one split to the next.
 `fair_detach` is that loop, and each split calls the route for its r,
 which also fixes what a node of the budget is.  At r = 2 (`_flow_rows`) the
 class without the amalgam is a union of paths, each meeting the amalgam
-exactly twice (`path_ends`, one components pass), so a row passes exactly
+exactly twice (`path_ends`, one walk per path), so a row passes exactly
 when it puts at most one edge into each path, and the split is one integral
 max-flow, class -> path -> column (`flow_split`): no row is built, nothing
 is searched, and a node is one path pushed.  At r >= 3 (`_search_rows`)
@@ -160,23 +160,59 @@ def _amalgam_edges(g: Multigraph, n: int) -> list[int]:
 
 def path_ends(g: Multigraph, n: int) -> tuple[list[list[int]], int]:
     """At r = 2, the amalgam ends of each path of class g without the
-    amalgam n, and the amalgam's loops, from one `g.components(n)`.  Every
-    vertex of g but n has class degree 2, so g without n is a union of
-    paths and each path meets the amalgam exactly twice, at its two ends or
-    twice at a lone vertex.  Ends come ascending, paths in order of their
-    smallest vertex.  A component that meets the amalgam any other number
-    of times breaks the premise `flow_split` rests on, and raises."""
-    mult = _amalgam_edges(g, n)
-    ends = []
-    for comp in g.components(n):
-        meets = sum(mult[v] for v in comp)
+    amalgam n, and the amalgam's loops.  Every vertex of g but n has class
+    degree 2, so g without n is a union of paths and each path meets the
+    amalgam exactly twice, at its two ends or twice at a lone vertex.  One
+    pass over the edges gives the amalgam's multiplicities and the
+    neighbour lists, and each path is walked from the first of its ends.
+    Ends come ascending, paths in order of their smallest vertex.  A
+    component that meets the amalgam any other number of times breaks the
+    premise `flow_split` rests on, and raises; one that never meets it (a
+    cycle) is the one no walk reaches."""
+    mult = [0] * g.vertex_count
+    nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for (u, v), x in g.edges.items():
+        if v == n:
+            mult[u] += x
+        elif u == n:
+            mult[v] += x
+        else:  # a loop makes its vertex its own neighbour, already seen
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    seen = [False] * g.vertex_count
+    seen[n] = True
+    found = []  # (smallest vertex, meets, ends) per component
+    for start in range(g.vertex_count):
+        if seen[start] or not mult[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        lo, meets, ends = start, 0, []
+        while stack:
+            v = stack.pop()
+            if v < lo:
+                lo = v
+            if mult[v]:
+                meets += mult[v]
+                ends.append(v)
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        # the walk starts at the smallest end, so two ends come ascending
+        found.append((lo, meets, ends))
+    # the first vertex no walk reached heads the first component that never
+    # meets the amalgam
+    if not all(seen):
+        found.append((seen.index(False), 0, []))
+    found.sort()
+    for _, meets, _ in found:
         if meets != 2:
             raise InternalInconsistencyError(
                 f"a component of the class without the amalgam meets it "
                 f"{meets} times; at r = 2 each is a path that meets it twice"
             )
-        ends.append([v for v in comp if mult[v]])
-    return ends, mult[n]
+    return [ends for _, _, ends in found], mult[n]
 
 
 def candidate_rows(g: Multigraph, n: int, r: int, limit: list[int]) -> list[Row]:
@@ -210,7 +246,7 @@ def candidate_rows(g: Multigraph, n: int, r: int, limit: list[int]) -> list[Row]
     a global goodness check."""
     z = g.vertex_count
     mult = _amalgam_edges(g, n)
-    label, bridges = g.blocks(n)
+    label, bridges, _ = g.blocks(n)
     count = max(label) + 1
     amalgam = [0] * count  # amalgam edges into each block
     for v in range(z):

@@ -250,11 +250,13 @@ def _color_rest(
     if recolor and pool.edges and not (2 * (r - 1) >= mu > lam):
         raise PreconditionError("recoloring step needs 2(r-1) >= mu > lambda")
     # class degrees, kept here so that a class the edge would take above
-    # degree r (bullet 1) is skipped without running the predicate
+    # degree r (bullet 1) is skipped without running the predicate, and
+    # class sizes, kept so that ordering the classes sums no edge dicts
     degrees = [cls.degrees() for cls in classes]
+    sizes = [cls.edge_count() for cls in classes]
     while pool.edges:
         x, y = edge = min(pool.edges)
-        for i in sorted(range(len(classes)), key=lambda j: classes[j].edge_count() >= p):
+        for i in sorted(range(len(classes)), key=lambda j: sizes[j] >= p):
             deg = degrees[i]
             if deg[x] >= r or deg[y] >= r:
                 continue
@@ -264,6 +266,7 @@ def _color_rest(
                 pool.remove_edge(x, y)
                 deg[x] += 1
                 deg[y] += 1
+                sizes[i] += 1
                 trace.record("color", edge, i)
                 break
             cls.remove_edge(x, y)
@@ -275,6 +278,7 @@ def _color_rest(
                 )
             _unblock(edge, classes, degrees, pool, g, r, trace)
             degrees = [cls.degrees() for cls in classes]
+            sizes = [cls.edge_count() for cls in classes]
 
 
 def _unblock(

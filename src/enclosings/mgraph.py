@@ -119,11 +119,15 @@ class Multigraph:
             comps.append(tuple(sorted(comp)))
         return comps
 
-    def blocks(self, without: int = -1) -> tuple[list[int], set[tuple[int, int]]]:
+    def blocks(
+        self, without: int = -1
+    ) -> tuple[list[int], set[tuple[int, int]], list[int]]:
         """The 2-edge-connected components ("blocks") and the bridges of the
         graph with vertex `without` and its edges left out.  Returns a block
         id per vertex (-1 for `without`), ids in the order the blocks are
-        completed, and the bridges, which join the blocks into a forest.
+        completed; the bridges, which join the blocks into a forest; and per
+        vertex the root of its DFS tree, the smallest vertex of its
+        connected component (-1 for `without`).
 
         One iterative low-link DFS (Tarjan 1974) from each unvisited vertex.
         The tree edge to the parent is a back edge only when it has a
@@ -134,6 +138,7 @@ class Multigraph:
         disc = [-1] * self.vertex_count
         low = [0] * self.vertex_count
         label = [-1] * self.vertex_count
+        tree = [-1] * self.vertex_count
         bridges: set[tuple[int, int]] = set()
         pending: list[int] = []
         reached = done = 0
@@ -141,6 +146,7 @@ class Multigraph:
             if disc[root] >= 0 or root == without:
                 continue
             disc[root] = low[root] = reached
+            tree[root] = root
             reached += 1
             pending.append(root)
             stack = [(root, -1, iter(nbrs[root].items()))]
@@ -149,6 +155,7 @@ class Multigraph:
                 for w, mult in todo:
                     if disc[w] < 0:
                         disc[w] = low[w] = reached
+                        tree[w] = root
                         reached += 1
                         pending.append(w)
                         stack.append((w, v, iter(nbrs[w].items())))
@@ -167,7 +174,7 @@ class Multigraph:
                             bridges.add(_norm(parent, v))
                     elif low[v] < low[parent]:
                         low[parent] = low[v]
-        return label, bridges
+        return label, bridges, tree
 
     def bridges(self) -> set[tuple[int, int]]:
         """Pairs {u, v} of multiplicity exactly 1 whose removal disconnects

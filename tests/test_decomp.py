@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclosings.decomp import (
+    AdmissibilityViolation,
     Decomposition,
     Enclosing,
     admissibility_violation,
@@ -330,3 +331,100 @@ def test_partition_invariant(d):
             total[pair] = total.get(pair, 0) + mult
     assert total == d.base.edges
 
+
+def two_pass_violation(cls, r, class_index=0):
+    """The predicate in its earlier form, kept as a reference: a components
+    pass for bullet 2, then a separate low-link pass for bullet 3."""
+    degrees = cls.degrees()
+    for v, deg in enumerate(degrees):
+        if deg > r:
+            return AdmissibilityViolation(
+                class_index, 1, f"vertex {v} has degree {deg} > r={r}"
+            )
+    components = cls.components()
+    for comp in components:
+        low = sum(1 for v in comp if degrees[v] <= r - 1)
+        has_very_low = any(degrees[v] <= r - 2 for v in comp)
+        if not has_very_low and low < 2:
+            return AdmissibilityViolation(
+                class_index,
+                2,
+                f"component {comp} has no vertex of degree <= {r - 2} "
+                f"and fewer than two of degree <= {r - 1}",
+                component=comp,
+            )
+    label, bridges, _ = cls.blocks()
+    if not bridges:
+        return None
+    ends = [0] * cls.vertex_count
+    for bridge in bridges:
+        for v in bridge:
+            ends[label[v]] += 1
+    full = [True] * cls.vertex_count
+    for v, deg in enumerate(degrees):
+        if deg < r:
+            full[label[v]] = False
+    for v in range(cls.vertex_count):
+        block = label[v]
+        if ends[block] == 1 and full[block]:
+            u, w = next(e for e in bridges if block in (label[e[0]], label[e[1]]))
+            comp = next(c for c in components if u in c)
+            return AdmissibilityViolation(
+                class_index,
+                3,
+                f"cutedge {(u, w)} of component {comp} leaves a side "
+                f"with no vertex of degree <= {r - 1}",
+                component=comp,
+                edge=(u, w),
+            )
+    return None
+
+
+@st.composite
+def small_classes(draw):
+    """A class on 0-9 vertices with loops, parallel pairs and isolated
+    vertices, and an r from 2 to 5.  Most draws keep every degree <= r, so
+    that bullets 2 and 3 are reached."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    r = draw(st.integers(min_value=2, max_value=5))
+    capped = draw(st.integers(min_value=0, max_value=3)) > 0
+    g = Multigraph(n)
+    if n:
+        for _ in range(draw(st.integers(min_value=0, max_value=12))):
+            u = draw(st.integers(min_value=0, max_value=n - 1))
+            v = draw(st.integers(min_value=0, max_value=n - 1))
+            mult = draw(st.integers(min_value=1, max_value=3))
+            g.add_edge(u, v, mult)
+            if capped and max(g.degree(u), g.degree(v)) > r:
+                g.remove_edge(u, v, mult)
+    return g, r
+
+
+@given(st.one_of(small_classes(), bridged_blocks()), st.integers(min_value=0, max_value=3))
+@settings(max_examples=1000)
+def test_predicate_matches_its_two_pass_form(case, class_index):
+    # the bridged blocks reach bullet 3, which random classes seldom do
+    g, r = case
+    violation = class_admissibility_violation(g, r, class_index)
+    assert violation == two_pass_violation(g, r, class_index)
+    assert (violation is None) == brute_force_admissible(Decomposition(g.copy(), (g,)), r)
+
+
+def test_predicate_builds_one_neighbour_map_past_bullet_one(monkeypatch):
+    # the path 0-1-2-3, every edge a bridge, and the lone vertex 4: it
+    # passes bullet 1 at r = 2, so bullets 2 and 3 read the class from one
+    # low-link pass
+    g = Multigraph(5)
+    for u, v in [(0, 1), (1, 2), (2, 3)]:
+        g.add_edge(u, v)
+    calls = {"_neighbor_counts": 0, "components": 0}
+    for name in calls:
+        original = getattr(Multigraph, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Multigraph, name, counted)
+    assert class_admissibility_violation(g, 2) is None
+    assert calls == {"_neighbor_counts": 1, "components": 0}

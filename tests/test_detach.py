@@ -721,6 +721,37 @@ def test_solve_split_agrees_with_milp_at_every_split(
     assert seen == list(range(n + 1, m))
 
 
+def components_path_ends(g, n):
+    """`path_ends` from one `components(n)` pass, its earlier form, kept as
+    a reference."""
+    mult = detach._amalgam_edges(g, n)
+    ends = []
+    for comp in g.components(n):
+        assert sum(mult[v] for v in comp) == 2
+        ends.append([v for v in comp if mult[v]])
+    return ends, mult[n]
+
+
+@pytest.mark.parametrize(
+    "regime, n, seed",
+    [(regime, n, seed) for regime, n in [("B", 7), ("C", 8)] for seed in range(1, 21)],
+)
+def test_path_ends_match_components_at_every_split(monkeypatch, regime, n, seed):
+    _, triad, params = desk_input(regime, n, 14, 2, 13, seed)
+    route = detach._flow_rows
+    splits = []
+
+    def checked(work, n, r, demand, budget, rng):
+        for g in work:
+            assert path_ends(g, n) == components_path_ends(g, n)
+        splits.append(len(demand))
+        return route(work, n, r, demand, budget, rng)
+
+    monkeypatch.setattr(detach, "_flow_rows", checked)
+    fair_detach(triad, params, seed=seed, budget=50000)
+    assert splits == list(range(n + 1, 14))
+
+
 @pytest.mark.parametrize(
     "regime, n, m, r, k, seed",
     [d for d in DESK if d[3] == 2] + [("B", 20, 39, 2, 38, 1)],

@@ -206,12 +206,17 @@ def test_blocks_match_networkx(nx, g, data):
             for _ in range(mult):
                 ref.add_edge(u, v)
     bridges = {tuple(sorted(edge)) for edge in nx.bridges(ref)}
-    assert g.components(without) == sorted(
-        tuple(sorted(c)) for c in nx.connected_components(ref)
-    )
+    components = list(nx.connected_components(ref))
+    assert g.components(without) == sorted(tuple(sorted(c)) for c in components)
     ref.remove_edges_from(bridges)
-    label, found = g.blocks(without)
+    label, found, root = g.blocks(without)
     assert found == bridges
+    # each vertex's DFS root is the smallest vertex of its component
+    expected_root = [-1] * g.vertex_count
+    for c in components:
+        for v in c:
+            expected_root[v] = min(c)
+    assert root == expected_root
     groups: dict[int, list[int]] = {}
     for v, b in enumerate(label):
         if v == without:

@@ -26,17 +26,18 @@ min(v, n).
 A row keeps its class 2-edge-connected exactly when it leaves two
 edge-disjoint paths between the split vertex and the amalgam: identifying
 the two gives back the class before the split, which is 2-edge-connected,
-so only the cuts between them can fall below two edges.  Each split reads
-its classes from their working multigraphs alone, and nothing is carried
-from one split to the next.
+so only the cuts between them can fall below two edges.
 
 `fair_detach` is that loop, and each split calls the route for its r,
-which also fixes what a node of the budget is.  At r = 2 (`_flow_rows`) the
+which also fixes what a node of the budget is.  At r = 2 (`_FlowRoute`) the
 class without the amalgam is a union of paths, each meeting the amalgam
-exactly twice (`path_ends`, one walk per path), so a row passes exactly
-when it puts at most one edge into each path, and the split is one integral
-max-flow, class -> path -> column (`flow_split`): no row is built, nothing
-is searched, and a node is one path pushed.  At r >= 3 (`_search_rows`)
+exactly twice, so a row passes exactly when it puts at most one edge into
+each path, and the split is one integral max-flow, class -> path -> column
+(`flow_split`): no row is built, nothing is searched, and a node is one
+path pushed.  The paths are read once, from the triad (`path_ends`, one
+walk per component), and carried across the splits: a split vertex joins
+two paths, extends one, or is a new one (`carry_split`).  At r >= 3
+(`_search_rows`), which carries nothing from one split to the next,
 `candidate_rows` builds each class's rows on the bridge forest of the class
 without the amalgam, from one low-link pass per class, and `solve_split`
 searches them as an exact cover without recursion, branching on the most
@@ -49,7 +50,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .conditions import EnclosureParams, check_a_prime
 from .decomp import Decomposition, factorization_problems
@@ -114,13 +115,15 @@ def build_amalgamated_triad(a: Decomposition, params: EnclosureParams) -> Decomp
     classes = []
     for cls in a.classes:
         # A3 makes the loop count >= 0, and A2 every degree <= r
-        tri_cls = Multigraph(n + 1, cls.edges)
+        tri_cls = cls.copy()
+        tri_cls.vertex_count = n + 1  # x0 joins
         tri_cls.add_edge(x0, x0, cls.edge_count() - p)
         for j, d in enumerate(cls.degrees()):
             tri_cls.add_edge(x0, j, r - d)
         classes.append(tri_cls)
 
-    base = Multigraph(n + 1, complete_multigraph(n, mu).edges)
+    base = complete_multigraph(n, mu)
+    base.vertex_count = n + 1
     for j in range(n):
         base.add_edge(x0, j, mu * s)
     base.add_edge(x0, x0, mu * s * (s - 1) // 2)
@@ -147,30 +150,19 @@ def is_good_triad(t: Decomposition, params: EnclosureParams) -> bool:
 Row = tuple[tuple[int, int], ...]
 
 
-def _amalgam_edges(g: Multigraph, n: int) -> list[int]:
-    """The amalgam n's multiplicity to each vertex of g, its loops at n."""
-    mult = [0] * g.vertex_count
-    for (u, v), x in g.edges.items():
-        if v == n:
-            mult[u] += x
-        elif u == n:
-            mult[v] += x
-    return mult
-
-
-def path_ends(g: Multigraph, n: int) -> tuple[list[list[int]], int]:
+def path_ends(g: Multigraph, n: int) -> tuple[dict[int, list[int]], int]:
     """At r = 2, the amalgam ends of each path of class g without the
     amalgam n, and the amalgam's loops.  Every vertex of g but n has class
     degree 2, so g without n is a union of paths and each path meets the
     amalgam exactly twice, at its two ends or twice at a lone vertex.  One
     pass over the edges gives the amalgam's multiplicities and the
-    neighbour lists, and each path is walked from the first of its ends.
-    Ends come ascending, paths in order of their smallest vertex.  A
-    component that meets the amalgam any other number of times breaks the
-    premise `flow_split` rests on, and raises; one that never meets it (a
-    cycle) is the one no walk reaches."""
+    neighbour lists, and each component is walked from its smallest vertex.
+    Returns {smallest vertex: ends} per path, ascending, with the ends
+    ascending too.  A component that meets the amalgam any other number of
+    times, a cycle that never meets it included, breaks the premise
+    `flow_split` rests on, and raises."""
     mult = [0] * g.vertex_count
-    nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    nbrs: list[list[int]] = [[] for _ in mult]
     for (u, v), x in g.edges.items():
         if v == n:
             mult[u] += x
@@ -181,17 +173,14 @@ def path_ends(g: Multigraph, n: int) -> tuple[list[list[int]], int]:
             nbrs[v].append(u)
     seen = [False] * g.vertex_count
     seen[n] = True
-    found = []  # (smallest vertex, meets, ends) per component
-    for start in range(g.vertex_count):
-        if seen[start] or not mult[start]:
+    paths = {}
+    for lo in range(g.vertex_count):
+        if seen[lo]:
             continue
-        seen[start] = True
-        stack = [start]
-        lo, meets, ends = start, 0, []
+        seen[lo] = True
+        stack, meets, ends = [lo], 0, []
         while stack:
             v = stack.pop()
-            if v < lo:
-                lo = v
             if mult[v]:
                 meets += mult[v]
                 ends.append(v)
@@ -199,20 +188,13 @@ def path_ends(g: Multigraph, n: int) -> tuple[list[list[int]], int]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        # the walk starts at the smallest end, so two ends come ascending
-        found.append((lo, meets, ends))
-    # the first vertex no walk reached heads the first component that never
-    # meets the amalgam
-    if not all(seen):
-        found.append((seen.index(False), 0, []))
-    found.sort()
-    for _, meets, _ in found:
         if meets != 2:
             raise InternalInconsistencyError(
                 f"a component of the class without the amalgam meets it "
                 f"{meets} times; at r = 2 each is a path that meets it twice"
             )
-    return [ends for _, _, ends in found], mult[n]
+        paths[lo] = sorted(ends)
+    return paths, mult[n]
 
 
 def candidate_rows(g: Multigraph, n: int, r: int, limit: list[int]) -> list[Row]:
@@ -245,7 +227,12 @@ def candidate_rows(g: Multigraph, n: int, r: int, limit: list[int]) -> list[Row]
     per-class property, so filtering here means the row search never needs
     a global goodness check."""
     z = g.vertex_count
-    mult = _amalgam_edges(g, n)
+    mult = [0] * z  # the amalgam's multiplicity to each vertex, its loops at n
+    for (u, v), x in g.edges.items():
+        if v == n:
+            mult[u] += x
+        elif u == n:
+            mult[v] += x
     label, bridges, _ = g.blocks(n)
     count = max(label) + 1
     amalgam = [0] * count  # amalgam edges into each block
@@ -510,161 +497,234 @@ def solve_split(
     return chosen, nodes, deepest
 
 
-def path_row_count(ends: list[list[int]], loops: int) -> int:
+def path_row_count(paths: int, ends: int, loops: int) -> int:
     """How many candidate rows a class has at r = 2, in closed form: two
-    ends of different paths, an end and a loop, or two loops, where `ends`
-    holds each path's ends (`path_ends`) and `loops` the loops the row may
-    take."""
-    sizes = list(map(len, ends))
-    s = sum(sizes)
-    return (s * s - sum(x * x for x in sizes)) // 2 + (s if loops else 0) + (loops >= 2)
+    ends of different paths, an end and a loop, or two loops, where the
+    class has `paths` paths of one or two ends (`path_ends`), `ends` ends in
+    all, and `loops` loops the row may take."""
+    return (ends * ends - 3 * ends) // 2 + paths + (ends if loops else 0) + (loops >= 2)
 
 
 def flow_split(
-    ends: list[list[list[int]]], loops: list[int], demand: list[int], n: int, budget: int
-) -> tuple[list[Row] | None, int, int]:
+    paths: list[list[tuple[int, list[int]]]], loops: list[int], demand: list[int], n: int,
+    budget: int,
+) -> tuple[list[Row] | None, int, int, list]:
     """At r = 2, one row per class with column sums exactly `demand`, or
     None when no such choice exists or the budget ran out.  Also returns
     the nodes spent, one per path pushed (the budget ran out exactly when
-    they reach it), and how many classes got both their units.
+    they reach it), how many classes got both their units, and with the
+    rows, per class the (column, key) of each unit a path carries.
 
-    ends[i] holds the ends of each path of class i without the amalgam
-    (`path_ends`), and loops[i] the loops it may give column n.  Each path
-    is a tree of the class's bridge forest and meets the amalgam exactly
-    twice, so a row passes exactly when it puts at most one edge into each
-    tree (`candidate_rows`): a second edge into one tree leaves it no path
-    from the split vertex to the amalgam.  So a split is an integral flow:
-    source -> class i (capacity 2) -> each tree of i (capacity 1) -> column
-    v for each end v of the tree (capacity 1) -> sink (capacity demand[v]),
-    with an arc class i -> column n of capacity loops[i], which never
-    carries more than the 2 units class i has to send.  Its saturating
+    paths[i] holds (key, ends) for each path of class i without the
+    amalgam, in the order the flow tries them, and loops[i] the loops class
+    i may give column n.  Each path meets the amalgam exactly twice, so a
+    row passes exactly when it puts at most one edge into each path
+    (`candidate_rows`): a second edge into one leaves it no path from the
+    split vertex to the amalgam.  So a split is an integral flow: source ->
+    class i (capacity 2) -> each path of i (capacity 1) -> column v for
+    each end v of the path (capacity 1) -> sink (capacity demand[v]), with
+    an arc class i -> column n of capacity loops[i].  Its saturating
     integral flows are exactly the exact covers `solve_split` searches for
-    (Ford and Fulkerson's integrality), so there is no search.  Paths
-    straight from a class to a column are pushed greedily first, class by
-    class, its loops before its trees: a loop path can carry both units,
-    and on B (n = 7) and C (n = 8) at m = 14, seeds 1-100, this order left
-    half as many augmenting paths as trees first.  Then shortest augmenting
-    paths, found by breadth-first search (Edmonds and Karp), are pushed
-    until the demand is met or no path is left.
+    (Ford and Fulkerson).  Paths straight from a class to a column go
+    first, class by class, loops before paths; then shortest augmenting
+    paths, found by breadth-first search (Edmonds and Karp), until the
+    demand is met or no path is left.
     """
-    k = len(ends)
+    # On B (n = 7) and C (n = 8) at m = 14, seeds 1-100, loops first left
+    # half as many augmenting paths as paths first: a loop path can carry
+    # both units of its class.
+    k, z = len(paths), len(demand)
     left = list(demand)  # units each column still needs
     room = [2] * k  # units each class has still to send
     looped = [0] * k  # units each class sends over its loops, to column n
-    sent = [[-1] * len(trees) for trees in ends]  # the column each tree sends to
-    senders: list[dict[tuple[int, int], None]] = [{} for _ in demand]  # (class, tree)
-
-    # A path starts at a class with room and ends at a column with units
-    # left; each step (i, t, old, new) moves the unit class i sends over
-    # tree t (its loops when t < 0) from column old to column new, where -1
-    # stands for the class itself: -1 -> v starts a unit, v -> -1 takes it
-    # back, and v -> w moves it to the tree's other end.
-    def direct():
-        """The paths from a class straight to a column, class by class."""
-        for i, trees in enumerate(ends):
-            x = min(room[i], loops[i], left[n])
-            if x:
-                yield i, [(i, -1, -1, n)], x
-            for t, tree in enumerate(trees):
-                v = next((v for v in tree if left[v]), -1)
-                if room[i] and v >= 0:
-                    yield i, [(i, t, -1, v)], 1
-
-    def augmenting():
-        """Shortest augmenting paths, found by breadth-first search from
-        the classes with room, while one is left.  The residual network is
-        read off the flow: a class reaches the ends of its idle trees and,
-        below its loops, column n; a column reaches the other end of each
-        tree sending to it and that tree's class, and column n each class
-        sending it loops."""
-        while True:
-            via = {~i: None for i in range(k) if room[i]}  # class i is node ~i
-            queue = list(via)
-            goal = -1
-            for node in queue:
-                if node < 0:
-                    i = ~node
-                    hops = [(n, i, -1)] if looped[i] < loops[i] else []
-                    for t, tree in enumerate(ends[i]):
-                        if sent[i][t] < 0:
-                            hops += [(v, i, t) for v in tree]
-                else:
-                    hops = []
-                    for i, t in senders[node]:
-                        hops += [(w, i, t) for w in ends[i][t] if w != node]
-                        hops.append((~i, i, t))
-                    if node == n:
-                        hops += [(~i, i, -1) for i in range(k) if looped[i]]
-                for to, i, t in hops:
-                    if to not in via:
-                        via[to] = (node, i, t)
-                        queue.append(to)
-                        if to >= 0 and left[to]:
-                            goal = to
-                            break
-                if goal >= 0:
+    sent = [[-1] * len(mine) for mine in paths]  # the column each path sends to
+    senders = [[] for _ in demand]  # (class, path) per column, oldest first
+    carrying = [[] for _ in paths]  # the paths sending a unit, per class
+    need, nodes = sum(demand), 0
+    for i, mine in enumerate(paths):
+        x = min(2, loops[i], left[n])
+        if x:
+            nodes += 1
+            if nodes >= budget:
+                return None, nodes, room.count(0), []
+            room[i] -= x
+            looped[i] = x
+            left[n] -= x
+            need -= x
+        for t, (_, ends) in enumerate(mine):
+            if not room[i]:
+                break
+            for v in ends:  # the first end with units left
+                if left[v]:
+                    nodes += 1
+                    if nodes >= budget:
+                        return None, nodes, room.count(0), []
+                    room[i] -= 1
+                    left[v] -= 1
+                    need -= 1
+                    sent[i][t] = v
+                    senders[v].append((i, t))
+                    carrying[i].append(t)
                     break
-            if goal < 0:
-                return
-            steps = []
-            node = goal
-            while via[node] is not None:
-                back, i, t = via[node]
-                steps.append((i, t, max(back, -1), max(node, -1)))
-                node = back
-            yield ~node, steps, 1
 
-    def full() -> int:
-        return sum(not x for x in room)
+    # Node j < z is column j and node z + i class i.  via[node] holds the
+    # node a path came from and the class and path (-1: loops) of that hop;
+    # a class the search starts from comes from itself.  The residual
+    # network is read off the flow: a class reaches, below its loops, column
+    # n and the ends of its idle paths; a column reaches the other end of
+    # each path sending to it and that path's class, and column n each class
+    # sending it loops.
+    def search(via: list) -> int:
+        """The first column with units left that breadth-first search from
+        the classes with room reaches, or -1."""
+        queue = [z + i for i in range(k) if room[i]]
+        for node in queue:
+            via[node] = (node, -1, -1)
+        for node in queue:
+            if node >= z:
+                i = node - z
+                if looped[i] < loops[i] and via[n] is None:
+                    via[n] = (node, i, -1)
+                    if left[n]:
+                        return n
+                    queue.append(n)
+                for t, (_, ends) in enumerate(paths[i]):
+                    if sent[i][t] < 0:
+                        for v in ends:
+                            if via[v] is None:
+                                via[v] = (node, i, t)
+                                if left[v]:
+                                    return v
+                                queue.append(v)
+                continue
+            for i, t in senders[node]:
+                for w in paths[i][t][1]:
+                    if w != node and via[w] is None:
+                        via[w] = (node, i, t)
+                        if left[w]:
+                            return w
+                        queue.append(w)
+                if via[z + i] is None:
+                    via[z + i] = (node, i, t)
+                    queue.append(z + i)
+            for i in range(k) if node == n else ():
+                if looped[i] and via[z + i] is None:
+                    via[z + i] = (node, i, -1)
+                    queue.append(z + i)
+        return -1
 
-    need = sum(demand)
-    nodes = 0
-    for start, steps, x in chain(direct(), augmenting()):
+    while need:
+        via = [None] * (z + k)
+        node = search(via)
+        if node < 0:
+            break
         nodes += 1
         if nodes >= budget:
-            return None, nodes, full()
-        room[start] -= x
-        left[steps[0][3]] -= x
-        for i, t, old, new in steps:
+            return None, nodes, room.count(0), []
+        left[node] -= 1
+        need -= 1
+        # back to the class the path starts from: class -> column starts a
+        # unit, column -> class takes it back, and column -> column moves it
+        # to its path's other end
+        came, i, t = via[node]
+        while came != node:
             if t < 0:
-                looped[i] += x if new >= 0 else -x
-                continue
-            if old >= 0:
-                del senders[old][i, t]
-            if new >= 0:
-                senders[new][i, t] = None
-            sent[i][t] = new
-        need -= x
-        if not need:
-            break
-    deepest = full()
+                looped[i] += 1 if node < z else -1
+            else:
+                if came < z:
+                    senders[came].remove((i, t))
+                else:
+                    carrying[i].append(t)
+                if node < z:
+                    senders[node].append((i, t))
+                else:
+                    carrying[i].remove(t)
+                sent[i][t] = node if node < z else -1
+            node = came
+            came, i, t = via[node]
+        room[node - z] -= 1
+
+    deepest = room.count(0)
     if need or deepest < k:
-        return None, nodes, deepest
+        return None, nodes, deepest, []
     rows: list[Row] = []
-    for i, columns in enumerate(sent):
-        row = [(v, 1) for v in columns if v >= 0] + ([(n, looped[i])] if looped[i] else [])
-        row.sort(key=lambda e: (e[0] == n, e[0]))
-        rows.append(tuple(row))
-    return rows, nodes, deepest
+    units = []
+    for i, mine in enumerate(carrying):
+        if len(mine) == 2:
+            t, u = mine
+            v, w = sent[i][t], sent[i][u]
+            if v > w:
+                t, u, v, w = u, t, w, v
+            units.append([(v, paths[i][t][0]), (w, paths[i][u][0])])
+            rows.append(((v, 1), (w, 1)))
+        elif mine:
+            t = mine[0]
+            units.append([(sent[i][t], paths[i][t][0])])
+            rows.append(((sent[i][t], 1), (n, 1)))
+        else:
+            units.append([])
+            rows.append(((n, 2),))
+    return rows, nodes, deepest, units
 
 
-def _flow_rows(
-    work: list[Multigraph], n: int, r: int, demand: list[int], budget: int,
-    rng: random.Random | None,
-) -> tuple[list[Row] | None, int, int, list[int]]:
-    """The split at r = 2 as one integral flow over each class's paths, in
-    an order the split's rng shuffles (`flow_split`).  Also returns the row
-    count of each class, in closed form (`path_row_count`)."""
-    ends, loops = [], []
-    for g in work:
-        paths, x = path_ends(g, n)
-        ends.append(paths)
-        loops.append(min(x, demand[n]))
-    if rng:
-        for paths in ends:
-            rng.shuffle(paths)
-    counts = [path_row_count(e, x) for e, x in zip(ends, loops)]
-    return (*flow_split(ends, loops, demand, n, budget), counts)
+def carry_split(paths: dict[int, list[int]], z: int, units: list) -> None:
+    """Carry one class's paths across the split of vertex z, in place.
+    `paths` maps each path's smallest vertex to its ends, in `path_ends`'
+    order, and `units` holds (column, path) for each unit z took from the
+    end of a path; z took the rest of its r = 2 units from the amalgam's
+    loops.  Two ends of different paths merge them through z, an end and a
+    loop extend that path to z, and two loops make z a lone path that meets
+    the amalgam twice.  z is the largest vertex yet, so a merged path keeps
+    the smaller key, an extended one its key, and a new one goes last: the
+    order stays ascending.  Units that do not land on ends of distinct
+    paths break the premise `flow_split` rests on, and raise."""
+    rest, p = [], z  # the end each unit leaves its path
+    for v, p in units:
+        ends = paths.get(p, ())
+        if v not in ends or rest and (len(rest) > 1 or p == units[0][1]):
+            raise InternalInconsistencyError(
+                f"the split of vertex {z} takes (column, path) {units} from one "
+                "class, not ends of distinct paths"
+            )
+        rest.append(ends[-1] if ends[0] == v else ends[0])
+    if len(rest) == 2:
+        q = units[0][1]
+        del paths[max(p, q)]
+        paths[min(p, q)] = sorted(rest)
+    else:
+        paths[p] = rest + [z] if rest else [z]
+
+
+class _FlowRoute:
+    """The split at r = 2, over paths carried from split to split.
+    `path_ends` reads each class's paths once, from the working multigraphs
+    the route is made from, and the route keeps them per class, with the
+    amalgam's loops.  A call shuffles each class's paths with the split's
+    rng, solves the split as one flow over them (`flow_split`), carries
+    them across it (`carry_split`), and also returns the row count of each
+    class (`path_row_count`)."""
+
+    def __init__(self, work: list[Multigraph], n: int):
+        found = [path_ends(g, n) for g in work]
+        self.paths = [paths for paths, _ in found]
+        self.loops = [loops for _, loops in found]
+
+    def __call__(self, work, n, r, demand, budget, rng):
+        order, loops, counts = [], [], []
+        cap = demand[n]
+        for paths, x in zip(self.paths, self.loops):
+            mine = list(paths.items())
+            if rng and len(mine) > 1:  # shuffling one path draws nothing
+                rng.shuffle(mine)
+            order.append(mine)
+            x = x if x < cap else cap
+            loops.append(x)
+            counts.append(path_row_count(len(mine), sum(map(len, paths.values())), x))
+        rows, nodes, deepest, units = flow_split(order, loops, demand, n, budget)
+        for i, got in enumerate(units):
+            carry_split(self.paths[i], len(demand), got)
+            self.loops[i] -= 2 - len(got)
+        return rows, nodes, deepest, counts
 
 
 def _search_rows(
@@ -699,12 +759,13 @@ def fair_detach(
     amalgam loops become z-to-amalgam edges.  Rows sum to r; column v sums
     to mu, and column n to mu times the vertices the amalgam still stands
     for.  A row is a candidate when its class stays 2-edge-connected
-    spanning.  The route for r reads the working multigraphs afresh, where
-    z is not yet a vertex: `_flow_rows` at r = 2, `_search_rows` at r >= 3.
-    Committing a split moves each row onto z; nothing else is kept.  Each
-    split is solved, committed and never revisited: a good state can always
-    be completed, so a split with no solution below the budget is an
-    internal inconsistency.  What is left of the amalgam is then vertex n:
+    spanning.  The route for r is called with the working multigraphs,
+    where z is not yet a vertex: `_search_rows` at r >= 3 reads them afresh
+    at every split, and at r = 2 a `_FlowRoute` reads them once and carries
+    each class's paths across the splits.  Committing a split moves each
+    row onto z.  Each split is solved, committed and never revisited: a
+    good state can always be completed, so a split with no solution below
+    the budget is an internal inconsistency.  What is left of the amalgam is then vertex n:
     its rows are forced, and the last split (or `is_good_triad`, when
     m = n + 1) has already checked the classes they give.
     """
@@ -722,7 +783,7 @@ def fair_detach(
     stats = DetachStats()
     rng = random.Random(seed) if seed else None
     work = [cls.copy() for cls in t.classes]
-    route = _flow_rows if r == 2 else _search_rows
+    route = _FlowRoute(work, n) if r == 2 else _search_rows
     for z in range(n + 1, m):
         began = time.monotonic()
         demand = [mu] * z

@@ -254,8 +254,14 @@ def _color_rest(
     # class sizes, kept so that ordering the classes sums no edge dicts
     degrees = [cls.degrees() for cls in classes]
     sizes = [cls.edge_count() for cls in classes]
+    # the pool only loses pairs, so its smallest pair is the first of one
+    # sorted walk that is still in it
+    order = sorted(pool.edges)
+    at = 0
     while pool.edges:
-        x, y = edge = min(pool.edges)
+        while order[at] not in pool.edges:
+            at += 1
+        x, y = edge = order[at]
         for i in sorted(range(len(classes)), key=lambda j: sizes[j] >= p):
             deg = degrees[i]
             if deg[x] >= r or deg[y] >= r:

@@ -97,14 +97,14 @@ class Multigraph:
                 nbrs[b][a] = mult
         return nbrs
 
-    def components(self, without: int = -1) -> list[tuple[int, ...]]:
-        """Maximal connected vertex sets of the graph with vertex `without`
-        and its edges left out, each sorted, ordered by smallest vertex."""
-        nbrs = self._neighbor_counts(without)
+    def components(self) -> list[tuple[int, ...]]:
+        """Maximal connected vertex sets, each sorted, ordered by smallest
+        vertex."""
+        nbrs = self._neighbor_counts()
         seen = [False] * self.vertex_count
         comps: list[tuple[int, ...]] = []
         for start in range(self.vertex_count):
-            if seen[start] or start == without:
+            if seen[start]:
                 continue
             seen[start] = True
             stack = [start]

@@ -14,6 +14,7 @@ from enclosings.decomp import Decomposition, Enclosing, restrict, verify_enclosi
 from enclosings.detach import (
     SplitRecord,
     build_amalgamated_triad,
+    carry_split,
     fair_detach,
     flow_split,
     is_good_triad,
@@ -256,7 +257,7 @@ def test_fair_detach_solves_splits_that_stalled(monkeypatch, regime, n, m, r, k,
     g, triad, params = desk_input(regime, n, m, r, k, seed)
     if r == 2:
         detach_and_verify(g, triad, params, seed, FLOW_PATHS[n, m, seed])
-        monkeypatch.setattr(detach, "_flow_rows", detach._search_rows)
+        monkeypatch.setattr(detach, "_FlowRoute", lambda work, n: detach._search_rows)
     detach_and_verify(g, triad, params, seed, nodes)
 
 
@@ -658,6 +659,16 @@ def split_demand(params, z):
     return demand
 
 
+def hook_route(monkeypatch, r, wrap):
+    """Put wrap(route) where fair_detach takes its route for r.  The r = 2
+    route is made per detach, from the working multigraphs."""
+    if r == 2:
+        make = detach._FlowRoute
+        monkeypatch.setattr(detach, "_FlowRoute", lambda work, n: wrap(make(work, n)))
+    else:
+        monkeypatch.setattr(detach, "_search_rows", wrap(detach._search_rows))
+
+
 def desk_input(regime, n, m, r, k, seed):
     """An input, its amalgamated triad and the parameters, as the pipeline
     builds them (the T15 input is (r - 1)-admissible)."""
@@ -681,20 +692,20 @@ def test_candidate_rows_match_reference_at_every_split(
     monkeypatch, regime, n, m, r, k, seed
 ):
     _, triad, params = desk_input(regime, n, m, r, k, seed)
-    name = "_flow_rows" if r == 2 else "_search_rows"
-    route = getattr(detach, name)
     seen = []
 
-    def checked(work, n, r, demand, budget, rng):
-        z = len(demand)
-        limit = split_demand(params, z)
-        assert demand == limit
-        for g in work:
-            assert detach.candidate_rows(g, n, r, limit) == reference_rows(g, n, z, r, limit)
-        seen.append(z)
-        return route(work, n, r, demand, budget, rng)
+    def checked(route):
+        def split(work, n, r, demand, budget, rng):
+            z = len(demand)
+            limit = split_demand(params, z)
+            assert demand == limit
+            for g in work:
+                assert detach.candidate_rows(g, n, r, limit) == reference_rows(g, n, z, r, limit)
+            seen.append(z)
+            return route(work, n, r, demand, budget, rng)
+        return split
 
-    monkeypatch.setattr(detach, name, checked)
+    hook_route(monkeypatch, r, checked)
     fair_detach(triad, params, seed=seed, budget=50000)
     assert seen == list(range(n + 1, m))
 
@@ -716,20 +727,43 @@ def test_solve_split_agrees_with_milp_at_every_split(
     if r == 2:
         # fair_detach solves r = 2 splits by the flow; the row search takes
         # its place here
-        monkeypatch.setattr(detach, "_flow_rows", detach._search_rows)
+        monkeypatch.setattr(detach, "_FlowRoute", lambda work, n: detach._search_rows)
     fair_detach(triad, params, seed=seed, budget=50000)
     assert seen == list(range(n + 1, m))
 
 
 def components_path_ends(g, n):
-    """`path_ends` from one `components(n)` pass, its earlier form, kept as
-    a reference."""
-    mult = detach._amalgam_edges(g, n)
-    ends = []
-    for comp in g.components(n):
+    """`path_ends` found another way, kept as a reference: the components
+    of g without n from a union-find over its edges, each with the vertices
+    that meet the amalgam, by smallest vertex; and the amalgam's loops."""
+    parent = list(range(g.vertex_count))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    mult = [0] * g.vertex_count
+    for (u, v), x in g.edges.items():
+        if n in (u, v):
+            mult[u if v == n else v] += x
+        else:
+            parent[find(u)] = find(v)
+    comps = {}
+    for v in range(g.vertex_count):
+        if v != n:
+            comps.setdefault(find(v), []).append(v)
+    ends = {}
+    for comp in sorted(comps.values()):
         assert sum(mult[v] for v in comp) == 2
-        ends.append([v for v in comp if mult[v]])
+        ends[comp[0]] = [v for v in comp if mult[v]]
     return ends, mult[n]
+
+
+def in_order(found):
+    """path_ends' result with its paths as a list, so that order counts."""
+    paths, loops = found
+    return list(paths.items()), loops
 
 
 @pytest.mark.parametrize(
@@ -738,18 +772,105 @@ def components_path_ends(g, n):
 )
 def test_path_ends_match_components_at_every_split(monkeypatch, regime, n, seed):
     _, triad, params = desk_input(regime, n, 14, 2, 13, seed)
-    route = detach._flow_rows
     splits = []
 
-    def checked(work, n, r, demand, budget, rng):
-        for g in work:
-            assert path_ends(g, n) == components_path_ends(g, n)
-        splits.append(len(demand))
-        return route(work, n, r, demand, budget, rng)
+    def checked(route):
+        def split(work, n, r, demand, budget, rng):
+            for g in work:
+                assert in_order(path_ends(g, n)) == in_order(components_path_ends(g, n))
+            splits.append(len(demand))
+            return route(work, n, r, demand, budget, rng)
+        return split
 
-    monkeypatch.setattr(detach, "_flow_rows", checked)
+    hook_route(monkeypatch, 2, checked)
     fair_detach(triad, params, seed=seed, budget=50000)
     assert splits == list(range(n + 1, 14))
+
+
+@pytest.mark.parametrize(
+    "regime, n, m, seed",
+    [(regime, n, 14, seed) for regime, n in [("B", 7), ("C", 8)] for seed in range(1, 21)]
+    + [("B", 20, 39, 1), ("B", 60, 120, 1)],
+)
+def test_carried_paths_match_path_ends_at_every_split(monkeypatch, regime, n, m, seed):
+    # the r = 2 route reads the paths once and carries them: before every
+    # split, and after the last, they are what `path_ends` reads afresh
+    # from the working multigraphs
+    _, triad, params = desk_input(regime, n, m, 2, m - 1, seed)
+    routes, splits = [], []
+
+    def checked(route):
+        routes.append(route)
+
+        def split(work, n, r, demand, budget, rng):
+            for g, paths, loops in zip(work, route.paths, route.loops):
+                assert (list(paths.items()), loops) == in_order(path_ends(g, n))
+            splits.append(len(demand))
+            return route(work, n, r, demand, budget, rng)
+        return split
+
+    hook_route(monkeypatch, 2, checked)
+    witness = fair_detach(triad, params, seed=seed, budget=50000)
+    assert splits == list(range(n + 1, m))
+    (route,) = routes
+    for g, paths, loops in zip(witness.result.classes, route.paths, route.loops):
+        assert (list(paths.items()), loops) == in_order(path_ends(g, n))
+
+
+def split_class(g, n, z, row):
+    """Class g once the next vertex z takes `row`, as fair_detach commits
+    it."""
+    h = g.copy()
+    h.vertex_count = z + 1
+    for v, x in row:
+        h.remove_edge(n, v, x)
+        h.add_edge(z, v, x)
+    return h
+
+
+def test_carry_split_merges_extends_and_adds_paths():
+    # amalgam 5; without it the class is the lone vertex 0, met twice, and
+    # the paths 1 - 2 and 3 - 4; the amalgam has three loops
+    g = Multigraph(6)
+    g.add_edge(0, 5, 2)
+    for u, v in [(1, 2), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5)]:
+        g.add_edge(u, v)
+    g.add_edge(5, 5, 3)
+    paths, loops = path_ends(g, 5)
+    assert (list(paths.items()), loops) == ([(0, [0]), (1, [1, 2]), (3, [3, 4])], 3)
+    # two ends of different paths, one of them the lone vertex: 0 - 6 - 4 - 3
+    # keeps the smaller key, and path 3 goes
+    for z, row, units, after in [
+        (6, ((0, 1), (4, 1)), [(0, 0), (4, 3)], [(0, [0, 3]), (1, [1, 2])]),
+        # an end and a loop extend 1 - 2 to 1 - 2 - 7
+        (7, ((2, 1), (5, 1)), [(2, 1)], [(0, [0, 3]), (1, [1, 7])]),
+        # two loops make 8 a lone path, last
+        (8, ((5, 2),), [], [(0, [0, 3]), (1, [1, 7]), (8, [8])]),
+    ]:
+        g = split_class(g, 5, z, row)
+        carry_split(paths, z, units)
+        assert list(paths.items()) == after
+        assert in_order(path_ends(g, 5))[0] == after
+    # a lone vertex met twice, extended by one unit and a loop
+    g = Multigraph(2)
+    g.add_edge(0, 1, 2)
+    g.add_edge(1, 1)
+    paths, _ = path_ends(g, 1)
+    carry_split(paths, 2, [(0, 0)])
+    assert paths == path_ends(split_class(g, 1, 2, ((0, 1), (1, 1))), 1)[0] == {0: [0, 2]}
+
+
+def test_carry_split_refuses_units_off_distinct_path_ends():
+    paths = {0: [0], 1: [1, 2], 3: [3, 4]}
+    for units in [
+        [(1, 1), (2, 1)],  # both units into the path 1 - 2
+        [(0, 0), (0, 0)],  # both into the lone vertex 0
+        [(3, 1)],  # a column that is no end of the path
+        [(5, 5)],  # a path the class does not have
+        [(0, 0), (1, 1), (3, 3)],  # three units
+    ]:
+        with pytest.raises(InternalInconsistencyError, match="not ends of distinct paths"):
+            carry_split(dict(paths), 6, units)
 
 
 @pytest.mark.parametrize(
@@ -758,26 +879,28 @@ def test_path_ends_match_components_at_every_split(monkeypatch, regime, n, seed)
 )
 def test_flow_split_agrees_with_rows_at_every_split(monkeypatch, regime, n, m, r, k, seed):
     _, triad, params = desk_input(regime, n, m, r, k, seed)
-    route = detach._flow_rows
     seen = []
 
-    def checked(work, n, r, demand, budget, rng):
-        z = len(demand)
-        assert demand == split_demand(params, z)
-        candidates = [detach.candidate_rows(g, n, 2, demand) for g in work]
-        counts = []
-        for g in work:
-            ends, loops = path_ends(g, n)
-            counts.append(path_row_count(ends, min(loops, demand[n])))
-        assert counts == [len(c) for c in candidates]
-        found = route(work, n, r, demand, budget, rng)
-        rows = found[0]
-        assert all(row in cand for row, cand in zip(rows, candidates))
-        assert column_sums(rows, z) == demand
-        seen.append((z, counts))
-        return found
+    def checked(route):
+        def split(work, n, r, demand, budget, rng):
+            z = len(demand)
+            assert demand == split_demand(params, z)
+            candidates = [detach.candidate_rows(g, n, 2, demand) for g in work]
+            counts = []
+            for g in work:
+                ends, loops = path_ends(g, n)
+                sizes = [len(e) for e in ends.values()]
+                counts.append(path_row_count(len(sizes), sum(sizes), min(loops, demand[n])))
+            assert counts == [len(c) for c in candidates]
+            found = route(work, n, r, demand, budget, rng)
+            rows = found[0]
+            assert all(row in cand for row, cand in zip(rows, candidates))
+            assert column_sums(rows, z) == demand
+            seen.append((z, counts))
+            return found
+        return split
 
-    monkeypatch.setattr(detach, "_flow_rows", checked)
+    hook_route(monkeypatch, 2, checked)
     splits = fair_detach(triad, params, seed=seed, budget=50000).stats.splits
     assert [z for z, _ in seen] == [record.z for record in splits] == list(range(n + 1, m))
     for record, (_, counts) in zip(splits, seen):
@@ -797,7 +920,7 @@ def test_fair_detach_tells_a_split_with_no_solution_from_a_spent_budget(
     def no_rows(work, n, r, demand, budget, rng):
         return None, budget - short, 0, [1]
 
-    monkeypatch.setattr(detach, "_flow_rows", no_rows)
+    monkeypatch.setattr(detach, "_FlowRoute", lambda work, n: no_rows)
     _, triad, params = desk_input("B", 7, 14, 2, 13, 1)
     with pytest.raises(error, match=message):
         fair_detach(triad, params, seed=1, budget=50000)
@@ -841,14 +964,17 @@ def path_splits(draw):
 def test_flow_split_agrees_with_solve_split(instance):
     graphs, n, demand = instance
     candidates = [detach.candidate_rows(g, n, 2, demand) for g in graphs]
-    ends, loops = [], []
-    for g in graphs:
-        paths, x = path_ends(g, n)
+    found, paths, loops = [path_ends(g, n) for g in graphs], [], []
+    for ends, x in found:
         # a column with no demand takes no row entry
-        ends.append([[v for v in path if demand[v]] for path in paths])
+        paths.append([(p, [v for v in e if demand[v]]) for p, e in ends.items()])
         loops.append(min(x, demand[n]))
-    assert [path_row_count(e, x) for e, x in zip(ends, loops)] == [len(c) for c in candidates]
-    rows, nodes, deepest = flow_split(ends, loops, demand, n, 10**6)
+    counts = []
+    for mine, x in zip(paths, loops):
+        sizes = [len(e) for _, e in mine if e]
+        counts.append(path_row_count(len(sizes), sum(sizes), x))
+    assert counts == [len(c) for c in candidates]
+    rows, nodes, deepest, units = flow_split(paths, loops, demand, n, 10**6)
     assert (rows is not None) == (solve_split(candidates, demand, 10**6)[0] is not None)
     # each path carries at least one unit
     assert nodes <= sum(demand)
@@ -856,6 +982,14 @@ def test_flow_split_agrees_with_solve_split(instance):
         assert all(row in cand for row, cand in zip(rows, candidates))
         assert column_sums(rows, len(demand)) == demand
         assert deepest == len(graphs)
+        # the units name the paths that carried the row's entries, and
+        # carrying them across the split gives the paths of the split class
+        z = len(demand)
+        for g, (ends, x), row, got in zip(graphs, found, rows, units):
+            assert [(v, 1) for v, _ in got] == [e for e in row if e[0] != n]
+            carry_split(ends, z, got)
+            after = path_ends(split_class(g, n, z, row), n)
+            assert (list(ends.items()), x - 2 + len(got)) == in_order(after)
 
 
 def test_flow_split_reports_a_split_with_no_solution():
@@ -868,7 +1002,8 @@ def test_flow_split_reports_a_split_with_no_solution():
     g.add_edge(1, 2, 2)
     demand = [1, 1, 2]
     ends, loops = path_ends(g, 2)
-    assert (ends, loops) == ([[0], [1]], 0)
+    assert (ends, loops) == ({0: [0], 1: [1]}, 0)
     assert detach.candidate_rows(g, 2, 2, demand) == [((0, 1), (1, 1))]
-    assert flow_split([ends, ends], [0, 0], demand, 2, 100) == (None, 2, 1)
+    mine = list(ends.items())
+    assert flow_split([mine, mine], [0, 0], demand, 2, 100) == (None, 2, 1, [])
     assert solve_split([[((0, 1), (1, 1))]] * 2, demand, 100)[0] is None
